@@ -10,12 +10,10 @@ from .errors import (
     AllLoops,
     AtSingularity,
     CapExceeded,
-    DegenerateSample,
     DimensionMismatch,
     IncompletePrimes,
     InsufficientPowerSums,
     InvalidParameter,
-    NoConvergence,
     NonRealCoefficient,
     NotAWalk,
     NotHermitian,
@@ -39,7 +37,6 @@ from .linalg import (
     DEFAULT_TOL,
     ZERO_EIGENVALUE_TOL,
     DensityMatrix,
-    PowerSums,
     eig_hermitian,
     elementary_from_power_sums,
     kron,
@@ -54,13 +51,14 @@ from .linalg import (
     validate_density,
 )
 from .quantum import (
+    BUILTIN_STATES,
     PureState,
     SymmetricProjector,
     acceptance_probability,
     bell_state,
+    builtin_state,
     ghz_state,
     isotropic_state,
-    make_state,
     permutation_operator,
     plus_state,
     purity,

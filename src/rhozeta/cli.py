@@ -7,37 +7,35 @@ same invocation and seed.
 """
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtSingularity, RhoZetaError
+from .errors import AtSingularity, CapExceeded, RhoZetaError
 from .graph import (
+    DEFAULT_ZERO_TOL,
     enumerate_primes,
     export_dot,
     graph_from_density,
     primes_csv,
 )
 from .linalg import (
+    DEFAULT_TOL,
     DensityMatrix,
-    kron,
     load_matrix,
-    partial_trace,
-    random_density,
     trace_powers,
     validate_density,
 )
 from .quantum import (
+    BUILTIN_STATES,
+    MAX_COPIES,
     acceptance_probability,
-    bell_state,
-    ghz_state,
+    builtin_state,
     isotropic_state,
-    plus_state,
-    sigma_state,
-    w_state,
 )
 from .zeta import (
+    DEFAULT_SEPARABILITY_TOL,
     is_separable_by_coeffs,
     series_coeffs,
     singularities,
@@ -47,91 +45,47 @@ from .zeta import (
 #: u-distance below which a curve sample row is flagged as singular.
 SINGULAR_ROW_TOL = 1e-6
 
+# Size caps, checked before any state is built or array allocated.
 _MAX_COEFF_ORDER = 64
+_MAX_RANDOM_DIM = 128
+_MAX_CURVE_ROWS = 100_000
 
 
-def _reduced(pure) -> DensityMatrix:
-    rho = pure.density()
-    return partial_trace(rho, (2, rho.dim // 2), keep="B")
-
-
-def _maxmixed(dim: int) -> DensityMatrix:
-    return validate_density(np.eye(dim) / dim)
-
-
-def _sigma3() -> DensityMatrix:
-    s = sigma_state().matrix
-    return validate_density(kron(kron(s, s), s))
-
-
-BUILTIN_STATES = {
-    "plus": lambda cfg: plus_state().density(),
-    "bell": lambda cfg: bell_state().density(),
-    "bell-reduced": lambda cfg: _reduced(bell_state()),
-    "maxmixed2": lambda cfg: _maxmixed(2),
-    "maxmixed4": lambda cfg: _maxmixed(4),
-    "w": lambda cfg: w_state().density(),
-    "w-reduced": lambda cfg: _reduced(w_state()),
-    "ghz": lambda cfg: ghz_state().density(),
-    "ghz-reduced": lambda cfg: _reduced(ghz_state()),
-    "isotropic": lambda cfg: isotropic_state(cfg.p),
-    "sigma": lambda cfg: sigma_state(),
-    "sigma3": lambda cfg: _sigma3(),
-    "random": lambda cfg: random_density(cfg.dim, cfg.seed),
-}
-
-
-def builtin_state(name: str, p: float = 0.5, dim: int = 2, seed: int = 0) -> DensityMatrix:
-    """Resolve a built-in state name to a density matrix."""
-    cfg = RunConfig(command="library", input=name, p=p, dim=dim, seed=seed)
-    try:
-        factory = BUILTIN_STATES[name]
-    except KeyError:
-        raise RhoZetaError(f"unknown state {name!r}; choose from {', '.join(sorted(BUILTIN_STATES))}")
-    return factory(cfg)
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    input: str
-    output: str = "-"
-    length_cap: int = 8
-    order: int = 12
-    copies: int = 3
-    u_min: float = 0.0
-    u_max: float = 0.9
-    u_steps: int = 50
-    p: float = 0.5
-    p_min: float = None
-    p_max: float = None
-    p_steps: int = None
-    separability_tol: float = 1e-6
-    validation_tol: float = 1e-9
-    zero_tol: float = 1e-12
-    dim: int = 2
-    seed: int = 0
-    pure_bipartite: bool = False
-    from_file: bool = False
-
-    def __post_init__(self):
-        if self.separability_tol <= 0 or self.validation_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.zero_tol < 0:
-            raise ValueError("zero tolerance must be nonnegative")
-        if self.u_steps < 2 or not self.u_min < self.u_max:
-            raise ValueError("u grid needs min < max and at least 2 steps")
-        if self.p_steps is not None:
-            if self.p_steps < 2 or not self.p_min < self.p_max:
+def _check_args(args) -> None:
+    """Validate a parsed invocation; raises before any work is done."""
+    tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
+    if not all(0 < tol < math.inf for tol in tols):
+        raise ValueError("tolerances must be finite and positive")
+    if args.command == "graph" and not 0 <= args.zero_tol < math.inf:
+        raise ValueError("zero tolerance must be finite and nonnegative")
+    if args.command == "coeffs":
+        if args.N > _MAX_COEFF_ORDER:
+            raise RhoZetaError(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
+        if args.N < 1:
+            raise RhoZetaError("coefficient order must be at least 1")
+    if args.command == "curve":
+        if args.steps < 2 or not -math.inf < args.u_min < args.u_max < math.inf:
+            raise ValueError("u grid needs finite min < max and at least 2 steps")
+        if args.p_steps is not None:
+            if args.p_min is None or args.p_max is None:
+                raise ValueError("p grid needs --p-min and --p-max")
+            if args.p_steps < 2 or not args.p_min < args.p_max:
                 raise ValueError("p grid needs min < max and at least 2 steps")
+            if args.file is not None or args.state != "isotropic":
+                raise RhoZetaError("p grid sweeps apply only to the isotropic state")
+        rows = args.steps * (args.p_steps or 1)
+        if rows > _MAX_CURVE_ROWS:
+            raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
+    if args.command == "bose" and args.K > MAX_COPIES:
+        raise CapExceeded(f"k={args.K} exceeds cap {MAX_COPIES}")
+    if args.state == "random" and args.dim > _MAX_RANDOM_DIM:
+        raise CapExceeded(f"random state dim {args.dim} exceeds cap {_MAX_RANDOM_DIM}")
 
 
-def _load_state(cfg: RunConfig) -> DensityMatrix:
-    if cfg.from_file:
-        return validate_density(load_matrix(cfg.input), cfg.validation_tol)
-    return builtin_state(cfg.input, p=cfg.p, dim=cfg.dim, seed=cfg.seed)
+def _load_state(args) -> DensityMatrix:
+    if args.file is not None:
+        return validate_density(load_matrix(args.file), args.validation_tol)
+    return builtin_state(args.state, p=args.p, dim=args.dim, seed=args.seed)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -142,40 +96,33 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def cmd_graph(cfg: RunConfig) -> int:
-    rho = _load_state(cfg)
-    g = graph_from_density(rho, cfg.zero_tol)
-    _write_output(cfg.output, export_dot(g))
+def cmd_graph(args) -> int:
+    g = graph_from_density(_load_state(args), args.zero_tol)
+    _write_output(args.out, export_dot(g))
     print(f"vertices: {g.n_vertices} edges: {g.n_edges}", file=sys.stderr)
     return 0
 
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    if cfg.order > _MAX_COEFF_ORDER:
-        raise RhoZetaError(f"coefficient order {cfg.order} exceeds cap {_MAX_COEFF_ORDER}")
-    if cfg.order < 1:
-        raise RhoZetaError("coefficient order must be at least 1")
-    rho = _load_state(cfg)
-    series = series_coeffs(trace_powers(rho, cfg.order), cfg.order)
+def cmd_coeffs(args) -> int:
+    rho = _load_state(args)
+    series = series_coeffs(trace_powers(rho, args.N), args.N)
     lines = ["n,c_n"]
-    for n in range(1, cfg.order + 1):
+    for n in range(1, args.N + 1):
         lines.append(f"{n},{series[n]!r}")
-    _write_output(cfg.output, "\n".join(lines) + "\n")
-    if cfg.order >= 2:
-        verdict = is_separable_by_coeffs(
-            rho, cfg.order, cfg.separability_tol, pure_bipartite=cfg.pure_bipartite
-        )
+    _write_output(args.out, "\n".join(lines) + "\n")
+    if args.N >= 2:
+        verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
         print(f"verdict: {verdict}", file=sys.stderr)
         if not verdict.separable:
             return 1
     return 0
 
 
-def _curve_rows(rho: DensityMatrix, cfg: RunConfig, p_value=None):
+def _curve_rows(rho: DensityMatrix, args, p_value=None):
     rational = singularities(rho)
     locations = [u for u, _ in rational.singularities]
     rows = []
-    for u in np.linspace(cfg.u_min, cfg.u_max, cfg.u_steps):
+    for u in np.linspace(args.u_min, args.u_max, args.steps):
         u = float(u)
         prefix = [repr(u)] if p_value is None else [repr(u), repr(p_value)]
         near = any(abs(u - loc) <= SINGULAR_ROW_TOL for loc in locations)
@@ -193,42 +140,38 @@ def _curve_rows(rho: DensityMatrix, cfg: RunConfig, p_value=None):
     return rows
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    surface = cfg.p_steps is not None
-    if surface and (cfg.from_file or cfg.input != "isotropic"):
-        raise RhoZetaError("p grid sweeps apply only to the isotropic state")
-    if surface:
+def cmd_curve(args) -> int:
+    if args.p_steps is not None:
         header = "u,p,zeta_re,zeta_im,at_singularity"
         rows = []
-        for p in np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps):
+        for p in np.linspace(args.p_min, args.p_max, args.p_steps):
             rho = isotropic_state(float(p))
-            rows.extend(_curve_rows(rho, cfg, p_value=float(p)))
+            rows.extend(_curve_rows(rho, args, p_value=float(p)))
     else:
         header = "u,zeta_re,zeta_im,at_singularity"
-        rows = _curve_rows(_load_state(cfg), cfg)
+        rows = _curve_rows(_load_state(args), args)
     lines = [header] + [",".join(row) for row in rows]
-    _write_output(cfg.output, "\n".join(lines) + "\n")
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_primes(cfg: RunConfig) -> int:
-    rho = _load_state(cfg)
-    g = graph_from_density(rho, cfg.zero_tol)
-    primes = enumerate_primes(g, cfg.length_cap)
-    _write_output(cfg.output, primes_csv(primes))
+def cmd_primes(args) -> int:
+    g = graph_from_density(_load_state(args))
+    primes = enumerate_primes(g, args.L)
+    _write_output(args.out, primes_csv(primes))
     print(f"classes: {len(primes)}", file=sys.stderr)
     return 0
 
 
-def cmd_bose(cfg: RunConfig) -> int:
-    rho = _load_state(cfg)
-    series = series_coeffs(trace_powers(rho, cfg.copies), cfg.copies)
+def cmd_bose(args) -> int:
+    rho = _load_state(args)
+    series = series_coeffs(trace_powers(rho, args.K), args.K)
     lines = ["k,acceptance,coefficient,abs_diff"]
-    for k in range(1, cfg.copies + 1):
+    for k in range(1, args.K + 1):
         accept = acceptance_probability(rho, k)
         diff = abs(accept - series[k])
         lines.append(f"{k},{accept!r},{series[k]!r},{diff!r}")
-    _write_output(cfg.output, "\n".join(lines) + "\n")
+    _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -249,7 +192,7 @@ def _add_state_arguments(parser):
     parser.add_argument("--dim", type=int, default=2, help="dimension of the random state")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    parser.add_argument("--validation-tol", type=float, default=1e-9)
+    parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,12 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="export the weighted digraph as DOT")
     _add_state_arguments(p_graph)
-    p_graph.add_argument("--zero-tol", type=float, default=1e-12)
+    p_graph.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)
 
     p_coeffs = sub.add_parser("coeffs", help="series coefficients and separability verdict")
     _add_state_arguments(p_coeffs)
     p_coeffs.add_argument("--N", type=int, default=12, help="highest coefficient order (<= 64)")
-    p_coeffs.add_argument("--tol", type=float, default=1e-6, help="separability tolerance")
+    p_coeffs.add_argument("--tol", type=float, default=DEFAULT_SEPARABILITY_TOL,
+                          help="separability tolerance")
     p_coeffs.add_argument("--pure-bipartite", action="store_true",
                           help="assert the state is a reduced pure bipartite state")
 
@@ -291,36 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=args.file if args.file else args.state,
-        from_file=args.file is not None,
-        output=args.out,
-        length_cap=getattr(args, "L", 8),
-        order=getattr(args, "N", 12),
-        copies=getattr(args, "K", 3),
-        u_min=getattr(args, "u_min", 0.0),
-        u_max=getattr(args, "u_max", 0.9),
-        u_steps=getattr(args, "steps", 50),
-        p=args.p,
-        p_min=getattr(args, "p_min", None),
-        p_max=getattr(args, "p_max", None),
-        p_steps=getattr(args, "p_steps", None),
-        separability_tol=getattr(args, "tol", 1e-6),
-        validation_tol=args.validation_tol,
-        zero_tol=getattr(args, "zero_tol", 1e-12),
-        dim=args.dim,
-        seed=args.seed,
-        pure_bipartite=getattr(args, "pure_bipartite", False),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (RhoZetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -27,14 +27,6 @@ class NotPSD(RhoZetaError):
     """Matrix has an eigenvalue below the negative tolerance."""
 
 
-class NoConvergence(RhoZetaError):
-    """Iterative eigensolver failed to converge within the sweep cap."""
-
-
-class DegenerateSample(RhoZetaError):
-    """Random draw produced a numerically degenerate sample repeatedly."""
-
-
 # -- graphs ------------------------------------------------------------------
 
 class AllLoops(RhoZetaError):

@@ -9,6 +9,7 @@ constraint).  Each class is represented by the lexicographically least
 rotation of its edge sequence, edges ordered by (origin, terminus).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
+
+#: Hard cap on the edges the prime search appends (see _search_steps).
+MAX_SEARCH_STEPS = 5_000_000
 
 #: Entries with magnitude at or below this produce no edge.
 DEFAULT_ZERO_TOL = 1e-12
@@ -117,17 +121,12 @@ def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -
     |rho_ij| exceeds zero_tol.  Both directions appear when both entries
     are nonzero.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    if not 0 <= zero_tol < math.inf:
+        raise ValueError("zero_tol must be finite and nonnegative")
     a = rho.matrix
-    n = rho.dim
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            w = a[i, j]
-            if abs(w) > zero_tol:
-                edges.append((i + 1, j + 1, w))
-    return WeightedDigraph(n, edges)
+    rows, cols = np.nonzero(np.abs(a) > zero_tol)
+    edges = [(i + 1, j + 1, a[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    return WeightedDigraph(rho.dim, edges)
 
 
 def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -161,6 +160,26 @@ def _is_primitive(seq: tuple) -> bool:
     return True
 
 
+def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
+    """Edges enumerate_primes appends: over start vertices s, the walks of
+    length 1..length_cap from s that stay on vertices >= s.
+
+    Counted with the 0/1 adjacency matrix in float64, exact below 2**53.
+    """
+    n = g.n_vertices
+    adjacency = np.zeros((n, n))
+    for i, j in g.weights:
+        adjacency[i - 1, j - 1] = 1.0
+    total = 0.0
+    for s in range(n):
+        sub = adjacency[s:, s:]
+        walks = sub[0]
+        for _ in range(length_cap):
+            total += walks.sum()
+            walks = walks @ sub
+    return total
+
+
 def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
     """Enumerate prime classes of closed walks up to the given length.
 
@@ -169,7 +188,8 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
     closed walk every visited vertex is an origin, so the canonical
     rotation starts at the minimum vertex).  Each walk is rotated to
     canonical form, powers of shorter walks are discarded, and duplicates
-    collapse in a set.  Cost is exponential in the cap.
+    collapse in a set.  Cost is exponential in the cap, so a search that
+    would append more than MAX_SEARCH_STEPS edges is refused up front.
 
     Returns PrimeClass objects sorted by (nu, rep).
     """
@@ -177,6 +197,11 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
         raise ValueError("length cap must be at least 1")
     if length_cap > PRIME_LENGTH_CAP:
         raise CapExceeded(f"length cap {length_cap} exceeds hard cap {PRIME_LENGTH_CAP}")
+    steps = _search_steps(g, length_cap)
+    if steps > MAX_SEARCH_STEPS:
+        raise CapExceeded(
+            f"length cap {length_cap} needs {steps:.3g} search steps, above cap {MAX_SEARCH_STEPS}"
+        )
     reps = set()
     for start in range(1, g.n_vertices + 1):
         walk = []

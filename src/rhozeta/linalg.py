@@ -2,8 +2,7 @@
 
 Matrices are plain numpy complex128 arrays; the only wrapper type is
 DensityMatrix, which is produced by validate_density and carries its
-eigenvalues (computed once, during validation, by the cyclic Jacobi
-solver below).
+eigenvalues (computed once, during validation, by numpy's eigvalsh).
 
 Index convention, fixed package-wide: in a bipartite system the first
 subsystem (A) is the slow, most-significant index.  kron(A, B) and
@@ -13,30 +12,16 @@ partial_trace(kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSample,
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    NotUnitTrace,
-)
+from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
 
 #: Default absolute tolerance for density-matrix validation.
 DEFAULT_TOL = 1e-9
 
 #: Eigenvalues with magnitude at or below this are treated as zero.
 ZERO_EIGENVALUE_TOL = 1e-12
-
-# Jacobi sweeps stop once the off-diagonal Frobenius mass drops below
-# this factor times the Frobenius norm of the input.
-_JACOBI_OFF_TARGET = 1e-14
-
-_UNITARITY_TOL = 1e-12
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -81,19 +66,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, tol={self.tol:g})"
 
 
-@dataclass(frozen=True)
-class PowerSums:
-    """Trace power sums p_m = tr[rho^m]; values[m-1] holds p_m."""
-
-    values: tuple
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
-
-
 def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a matrix as a density matrix, or raise naming the first violation.
 
@@ -102,22 +74,20 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     message reports the offending magnitude.
     """
     a = as_square_matrix(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    herm_defect = float(np.abs(a - a.conj().T).max())
-    if herm_defect > tol:
-        raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
+    eigenvalues = eig_hermitian(a, tol=tol)
     trace_defect = abs(complex(np.trace(a)) - 1.0)
     if trace_defect > tol:
         raise NotUnitTrace(f"|tr - 1| = {trace_defect:.3e} exceeds tol {tol:.1e}")
-    eigenvalues = eig_hermitian(a, tol=tol)
     if eigenvalues[0] < -tol:
         raise NotPSD(f"minimum eigenvalue {eigenvalues[0]:.3e} below -{tol:.1e}")
     return DensityMatrix(a, tol, eigenvalues)
 
 
-def trace_powers(rho: DensityMatrix, m_max: int) -> PowerSums:
-    """Compute p_m = tr[rho^m] for m = 1..m_max by repeated multiplication."""
+def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
+    """Power sums p_m = tr[rho^m] for m = 1..m_max, by repeated multiplication.
+
+    Element m-1 of the returned tuple holds p_m.
+    """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     a = rho.matrix
@@ -126,7 +96,7 @@ def trace_powers(rho: DensityMatrix, m_max: int) -> PowerSums:
     for _ in range(m_max):
         values.append(float(np.trace(power).real))
         power = power @ a
-    return PowerSums(tuple(values))
+    return tuple(values)
 
 
 def kron(a, b) -> np.ndarray:
@@ -157,66 +127,20 @@ def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:
     return validate_density(reduced, rho.tol)
 
 
-def eig_hermitian(matrix, tol: float = DEFAULT_TOL, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi rotations.
+def eig_hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending.
 
-    Each rotation is a complex plane rotation chosen to annihilate one
-    off-diagonal pair; sweeps repeat until the off-diagonal Frobenius mass
-    falls below 1e-14 times the Frobenius norm of the input.  Deterministic
-    and dependency-free, intended for dimensions up to ~100.
+    Rejects a matrix whose Hermiticity defect exceeds tol (which must be
+    finite and positive), then hands the Hermitian part (a + a^H)/2 to
+    numpy's eigvalsh.
     """
     a = as_square_matrix(matrix)
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     herm_defect = float(np.abs(a - a.conj().T).max())
     if herm_defect > tol:
         raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    a = (a + a.conj().T) / 2.0
-    norm = float(np.linalg.norm(a))
-    target = _JACOBI_OFF_TARGET * norm
-    # Rotating every |a_pq| > target/n caps the residual mass at target.
-    skip = target / n
-
-    def off_mass():
-        # summed directly over off-diagonal entries; subtracting the diagonal
-        # mass from the total would cancel catastrophically near convergence
-        m = np.abs(a) ** 2
-        np.fill_diagonal(m, 0.0)
-        return math.sqrt(float(m.sum()))
-
-    for _ in range(max_sweeps):
-        if off_mass() <= target:
-            return np.sort(np.diagonal(a).real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= skip:
-                    continue
-                phase = apq / mag
-                zeta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                # smaller-magnitude root of t^2 - 2*zeta*t - 1 = 0
-                sign = 1.0 if zeta >= 0 else -1.0
-                t = -sign / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    if off_mass() <= target:
-        return np.sort(np.diagonal(a).real)
-    raise NoConvergence(f"Jacobi sweeps exceeded cap of {max_sweeps}")
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
 def elementary_from_power_sums(power_sums) -> list:
@@ -225,7 +149,7 @@ def elementary_from_power_sums(power_sums) -> list:
     Uses the triangular recurrence e_k = (1/k) * sum_{m=1..k} (-1)^(m-1)
     e_{k-m} p_m, so that det(I - u*rho) = sum_k (-1)^k e_k u^k.
     """
-    p = list(power_sums.values if isinstance(power_sums, PowerSums) else power_sums)
+    p = list(power_sums)
     e = [1.0]
     for k in range(1, len(p) + 1):
         total = 0.0
@@ -237,38 +161,19 @@ def elementary_from_power_sums(power_sums) -> list:
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-like random unitary via Gram-Schmidt on a complex Gaussian.
+    """Seeded Haar-random unitary, deterministic per seed.
 
-    Deterministic per seed.  Redraws internally (up to 8 times) if the sample
-    is numerically degenerate, then raises DegenerateSample.
+    QR of a complex Gaussian matrix, with each column of Q multiplied by
+    the phase of the matching diagonal entry of R so that the law is Haar
+    (Mezzadri, Notices AMS 54, 2007).
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)
-    for _ in range(8):
-        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        q = _gram_schmidt_columns(z)
-        if q is None:
-            continue
-        defect = float(np.abs(q.conj().T @ q - np.eye(dim)).max())
-        if defect <= _UNITARITY_TOL:
-            return q
-    raise DegenerateSample(f"no well-conditioned unitary of dim {dim} after 8 draws")
-
-
-def _gram_schmidt_columns(z: np.ndarray):
-    """Orthonormalize columns (two passes); None if a pivot nearly vanishes."""
-    n = z.shape[0]
-    q = z.astype(complex).copy()
-    for j in range(n):
-        for _ in range(2):
-            for i in range(j):
-                q[:, j] -= (q[:, i].conj() @ q[:, j]) * q[:, i]
-        norm = float(np.linalg.norm(q[:, j]))
-        if norm < 1e-8:
-            return None
-        q[:, j] /= norm
-    return q
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_density(dim: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:

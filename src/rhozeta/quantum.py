@@ -1,4 +1,4 @@
-"""Reference states and the brute-force copy-symmetry test.
+"""Reference states, the registry of named states, and the brute-force copy-symmetry test.
 
 acceptance_probability simulates the k-copy symmetric-subspace measurement
 literally, as the trace of the projector against the k-fold Kronecker
@@ -13,7 +13,15 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .linalg import DEFAULT_TOL, DensityMatrix, kron, trace_powers, validate_density
+from .linalg import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    kron,
+    partial_trace,
+    random_density,
+    trace_powers,
+    validate_density,
+)
 
 #: Hard caps keeping the dense d^k x d^k projector tractable.
 MAX_COPIES = 5
@@ -84,34 +92,45 @@ def sigma_state() -> DensityMatrix:
     return validate_density(np.diag([1.0 / 3.0, 0.0, 0.0, 2.0 / 3.0]))
 
 
-def make_state(name: str, p: float = None, data=None):
-    """Named state constructor; returns a PureState or DensityMatrix.
+def _reduced(pure: PureState) -> DensityMatrix:
+    """State of the last factors once the first qubit is traced out."""
+    rho = pure.density()
+    return partial_trace(rho, (2, rho.dim // 2), keep="B")
 
-    Names: plus, bell, w, ghz, isotropic (requires p), sigma, custom
-    (requires data: a vector of amplitudes or a density matrix).
-    """
-    if name == "plus":
-        return plus_state()
-    if name == "bell":
-        return bell_state()
-    if name == "w":
-        return w_state()
-    if name == "ghz":
-        return ghz_state()
-    if name == "isotropic":
-        if p is None:
-            raise InvalidParameter("isotropic state requires parameter p")
-        return isotropic_state(p)
-    if name == "sigma":
-        return sigma_state()
-    if name == "custom":
-        if data is None:
-            raise InvalidParameter("custom state requires data")
-        arr = np.asarray(data, dtype=complex)
-        if arr.ndim == 1:
-            return PureState(arr)
-        return validate_density(arr)
-    raise InvalidParameter(f"unknown state name {name!r}")
+
+def _sigma3() -> DensityMatrix:
+    s = sigma_state().matrix
+    return validate_density(kron(kron(s, s), s))
+
+
+#: Named states.  Every factory takes (p, dim, seed): p parametrizes the
+#: isotropic state, dim and seed the random one; the others ignore them.
+BUILTIN_STATES = {
+    "plus": lambda p, dim, seed: plus_state().density(),
+    "bell": lambda p, dim, seed: bell_state().density(),
+    "bell-reduced": lambda p, dim, seed: _reduced(bell_state()),
+    "maxmixed2": lambda p, dim, seed: validate_density(np.eye(2) / 2),
+    "maxmixed4": lambda p, dim, seed: validate_density(np.eye(4) / 4),
+    "w": lambda p, dim, seed: w_state().density(),
+    "w-reduced": lambda p, dim, seed: _reduced(w_state()),
+    "ghz": lambda p, dim, seed: ghz_state().density(),
+    "ghz-reduced": lambda p, dim, seed: _reduced(ghz_state()),
+    "isotropic": lambda p, dim, seed: isotropic_state(p),
+    "sigma": lambda p, dim, seed: sigma_state(),
+    "sigma3": lambda p, dim, seed: _sigma3(),
+    "random": lambda p, dim, seed: random_density(dim, seed),
+}
+
+
+def builtin_state(name: str, p: float = 0.5, dim: int = 2, seed: int = 0) -> DensityMatrix:
+    """Resolve a built-in state name to a density matrix."""
+    try:
+        factory = BUILTIN_STATES[name]
+    except KeyError:
+        raise InvalidParameter(
+            f"unknown state {name!r}; choose from {', '.join(sorted(BUILTIN_STATES))}"
+        ) from None
+    return factory(p, dim, seed)
 
 
 def _check_caps(d: int, k: int) -> int:
@@ -127,12 +146,7 @@ def _check_caps(d: int, k: int) -> int:
 
 def _digits(d: int, k: int) -> np.ndarray:
     """Base-d digit table of 0..d^k-1, most significant digit first."""
-    idx = np.arange(d ** k)
-    table = np.empty((d ** k, k), dtype=np.int64)
-    for pos in range(k - 1, -1, -1):
-        table[:, pos] = idx % d
-        idx = idx // d
-    return table
+    return np.stack(np.unravel_index(np.arange(d ** k), (d,) * k), axis=1)
 
 
 def _permuted_indices(digits: np.ndarray, d: int, perm) -> np.ndarray:

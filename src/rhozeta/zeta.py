@@ -10,7 +10,7 @@ core correctness property of the package.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, inf
 
 from .errors import (
     AtSingularity,
@@ -22,7 +22,6 @@ from .graph import PRIME_LENGTH_CAP
 from .linalg import (
     ZERO_EIGENVALUE_TOL,
     DensityMatrix,
-    PowerSums,
     elementary_from_power_sums,
     trace_powers,
 )
@@ -101,12 +100,6 @@ class SeparabilityVerdict:
         return f"entangled by {self.method}: u={self.value!r}{note}"
 
 
-def _power_sum_values(power_sums):
-    if isinstance(power_sums, PowerSums):
-        return list(power_sums.values)
-    return [float(v) for v in power_sums]
-
-
 def series_coeffs(power_sums, order: int) -> ZetaSeries:
     """Series coefficients from power sums by the Newton-type recurrence.
 
@@ -116,7 +109,7 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = _power_sum_values(power_sums)
+    p = [float(v) for v in power_sums]
     if len(p) < order:
         raise InsufficientPowerSums(f"need {order} power sums, got {len(p)}")
     c = [1.0]
@@ -262,8 +255,8 @@ def is_separable_by_coeffs(
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
     series = series_coeffs(trace_powers(rho_b, order), order)
     for n in range(1, order + 1):
         if abs(series[n] - 1.0) > tol:
@@ -283,8 +276,8 @@ def is_separable_by_singularity(
     pure_bipartite: bool = False,
 ) -> SeparabilityVerdict:
     """Singularity criterion: separable iff the only pole is u = 1, simple."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be finite and positive")
     rational = singularities(rho_b)
     sing = rational.singularities
     if len(sing) == 1 and sing[0][1] == 1 and abs(sing[0][0] - 1.0) <= tol:

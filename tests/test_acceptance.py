@@ -64,7 +64,7 @@ def test_criterion_02_maximally_mixed_three_routes():
     p = trace_powers(rho, 2)
     newton = series_coeffs(p, 2)[2]
     euler = euler_product_coeffs(enumerate_primes(graph_from_density(rho), 2), 2)[2]
-    partition_sum = cycle_index(2, p.values)
+    partition_sum = cycle_index(2, p)
     failures = [
         (route, value)
         for route, value in (("newton", newton), ("euler", euler), ("cycle-index", partition_sum))
@@ -119,7 +119,7 @@ def test_criterion_06_three_route_agreement():
         newton = series_coeffs(p, 6)
         euler = euler_product_coeffs(enumerate_primes(graph_from_density(rho), 6), 6)
         for n in range(7):
-            partition_sum = cycle_index(n, p.values[:n])
+            partition_sum = cycle_index(n, p[:n])
             spread = max(
                 abs(newton[n] - euler[n]),
                 abs(newton[n] - partition_sum),

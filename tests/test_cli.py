@@ -101,6 +101,20 @@ def test_coeffs_order_cap(capsys):
     assert "65" in err
 
 
+def test_nan_tolerances_are_input_errors(tmp_path, capsys):
+    # NaN compares false against every bound, so it used to pass the checks
+    # and give a separable verdict for the Bell reduction
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [1, 0], [0, 0], [0.5, 0]]}))
+    for args in (["coeffs", "--state", "bell-reduced", "--tol", "nan"],
+                 ["coeffs", "--file", str(bad), "--validation-tol", "nan"],
+                 ["graph", "--state", "plus", "--zero-tol", "nan"],
+                 ["coeffs", "--state", "plus", "--tol", "inf"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == "" and "finite" in err
+
+
 # -- curve ----------------------------------------------------------------------
 
 def test_curve_plus_matches_geometric(tmp_path, capsys):
@@ -184,6 +198,42 @@ def test_curve_rejects_bad_grid(capsys):
     assert code == 2
 
 
+def test_curve_rejects_infinite_grid(capsys):
+    # an infinite end point made linspace print rows of NaN with exit 0
+    code, out, err = run_cli(["curve", "--state", "plus", "--u-max", "inf", "--steps", "3"], capsys)
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+def test_curve_surface_requires_p_range(capsys):
+    code, _, err = run_cli(["curve", "--state", "isotropic", "--p-steps", "3"], capsys)
+    assert code == 2
+    assert "--p-min and --p-max" in err
+
+
+def test_curve_row_cap(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    code, _, _ = run_cli(["curve", "--state", "plus", "--steps", "100000", "--out", str(out)], capsys)
+    assert code == 0
+    assert len(read_csv(out)) == 100001
+    for args in (["curve", "--state", "plus", "--steps", "100001"],
+                 ["curve", "--state", "isotropic", "--steps", "50001",
+                  "--p-min", "0", "--p-max", "1", "--p-steps", "2"]):
+        code, out_text, err = run_cli(args, capsys)
+        assert code == 2
+        assert out_text == "" and "CapExceeded" in err
+
+
+def test_random_dim_cap(tmp_path, capsys):
+    out = tmp_path / "g.dot"
+    code, _, err = run_cli(["graph", "--state", "random", "--dim", "128", "--out", str(out)], capsys)
+    assert code == 0
+    assert "vertices: 128" in err
+    code, _, err = run_cli(["graph", "--state", "random", "--dim", "129"], capsys)
+    assert code == 2
+    assert "CapExceeded" in err
+
+
 # -- primes ---------------------------------------------------------------------
 
 def test_primes_plus(tmp_path, capsys):
@@ -219,6 +269,13 @@ def test_primes_cap(capsys):
     assert "CapExceeded" in err
 
 
+def test_primes_refuses_dense_search(capsys):
+    # about 5.9e12 search steps: without the cap this never finishes
+    code, out, err = run_cli(["primes", "--state", "random", "--dim", "8", "--L", "14"], capsys)
+    assert code == 2
+    assert out == "" and "CapExceeded" in err
+
+
 # -- bose -------------------------------------------------------------------------
 
 def test_bose_bell_reduced(tmp_path, capsys):
@@ -252,6 +309,14 @@ def test_bose_random_qutrit(tmp_path, capsys):
     assert code == 0
     for row in read_csv(out)[1:]:
         assert float(row[3]) < 1e-9
+
+
+def test_bose_copy_cap(capsys):
+    code, _, _ = run_cli(["bose", "--state", "plus", "--K", "5"], capsys)
+    assert code == 0
+    code, out, err = run_cli(["bose", "--state", "plus", "--K", "6"], capsys)
+    assert code == 2
+    assert out == "" and "CapExceeded" in err
 
 
 # -- cross-cutting ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the weighted digraph construction and prime enumeration."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from rhozeta import graph
 from rhozeta.errors import AllLoops, CapExceeded, NotAWalk
 from rhozeta.graph import (
     LaplacianWeights,
@@ -50,6 +52,12 @@ def test_diagonal_density_gives_only_loops_and_length_one_primes():
     assert all(i == j for (i, j) in g.weights)
     primes = enumerate_primes(g, 4)
     assert all(p.nu == 1 for p in primes)
+
+
+@pytest.mark.parametrize("zero_tol", [-1e-12, math.nan, math.inf])
+def test_graph_rejects_bad_zero_tolerance(zero_tol):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        graph_from_density(PLUS, zero_tol)
 
 
 # -- density_from_weighted_graph ------------------------------------------------
@@ -130,6 +138,17 @@ def test_single_loop_powers_are_not_primitive():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_primes(graph_from_density(PLUS), 15)
+
+
+def test_search_step_cap(monkeypatch):
+    # the plus graph is complete with loops: from vertex 1 the search
+    # appends 2 + 4 + 8 edges up to length 3, from vertex 2 another 1 + 1 + 1
+    g = graph_from_density(PLUS)
+    monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", 17)
+    assert len(enumerate_primes(g, 3)) == 5
+    monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", 16)
+    with pytest.raises(CapExceeded, match="17 search steps"):
+        enumerate_primes(g, 3)
 
 
 def test_length_one_norms_sum_to_trace():

@@ -7,7 +7,6 @@ import pytest
 
 from rhozeta.errors import (
     DimensionMismatch,
-    NoConvergence,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -81,16 +80,25 @@ def test_validate_error_reports_magnitude():
         validate_density(np.eye(2))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_validate_rejects_bad_tolerance(tol):
+    # a NaN tolerance compares false both ways and would pass every check
+    with pytest.raises(ValueError, match="finite and positive"):
+        validate_density(np.array([[0, 1], [0, 0]]), tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        eig_hermitian(PLUS, tol)
+
+
 # -- trace_powers -------------------------------------------------------------
 
 def test_trace_powers_maximally_mixed():
     p = trace_powers(validate_density(MAXMIXED2), 2)
-    assert p.values == (1.0, 0.5)
+    assert p == (1.0, 0.5)
 
 
 def test_trace_powers_projector_is_flat():
     p = trace_powers(validate_density(PLUS), 5)
-    assert np.allclose(p.values, 1.0, atol=1e-12)
+    assert np.allclose(p, 1.0, atol=1e-12)
 
 
 def test_trace_powers_sigma():
@@ -213,11 +221,6 @@ def test_eig_sums_match_traces():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         eig_hermitian(np.array([[0, 1], [0, 0]]))
-
-
-def test_eig_reports_no_convergence_at_sweep_cap():
-    with pytest.raises(NoConvergence):
-        eig_hermitian(PLUS, max_sweeps=0)
 
 
 # -- elementary_from_power_sums -----------------------------------------------

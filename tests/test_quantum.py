@@ -12,9 +12,9 @@ from rhozeta.quantum import (
     PureState,
     acceptance_probability,
     bell_state,
+    builtin_state,
     ghz_state,
     isotropic_state,
-    make_state,
     permutation_operator,
     plus_state,
     purity,
@@ -65,22 +65,13 @@ def test_sigma_matrix():
     assert np.allclose(sigma_state().matrix, np.diag([1 / 3, 0, 0, 2 / 3]), atol=1e-15)
 
 
-def test_make_state_dispatch():
-    assert isinstance(make_state("plus"), PureState)
-    assert make_state("isotropic", p=0.25).dim == 4
-    custom_vec = make_state("custom", data=[1, 0])
-    assert isinstance(custom_vec, PureState)
-    custom_mat = make_state("custom", data=np.eye(2) / 2)
-    assert custom_mat.dim == 2
-
-
-def test_make_state_rejects_bad_input():
+def test_state_constructors_reject_bad_input():
+    with pytest.raises(InvalidParameter, match="unknown state 'nonesuch'"):
+        builtin_state("nonesuch")
     with pytest.raises(InvalidParameter):
-        make_state("nonesuch")
+        isotropic_state(1.5)
     with pytest.raises(InvalidParameter):
-        make_state("isotropic", p=1.5)
-    with pytest.raises(InvalidParameter):
-        make_state("isotropic")
+        builtin_state("isotropic", p=1.5)
     with pytest.raises(InvalidParameter):
         PureState([1.0, 1.0])
 

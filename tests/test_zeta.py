@@ -265,6 +265,15 @@ def test_ghz_reduction_entangled_by_singularity():
     assert abs(verdict.value - 2.0) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_verdicts_reject_bad_tolerance(tol):
+    # with tol = NaN every comparison is false: the Bell reduction would pass
+    with pytest.raises(ValueError, match="finite and positive"):
+        is_separable_by_coeffs(MAXMIXED2, 2, tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        is_separable_by_singularity(MAXMIXED2, tol)
+
+
 def test_caveat_flag_tracks_provenance():
     assert is_separable_by_coeffs(SIGMA, 2).caveat
     assert not is_separable_by_coeffs(SIGMA, 2, pure_bipartite=True).caveat
@@ -290,7 +299,7 @@ def test_three_routes_agree_on_random_states():
         newton = series_coeffs(p, 6)
         euler = euler_product_coeffs(enumerate_primes(graph_from_density(rho), 6), 6)
         for n in range(7):
-            partition_sum = cycle_index(n, p.values[:n])
+            partition_sum = cycle_index(n, p[:n])
             assert abs(newton[n] - euler[n]) < 1e-8
             assert abs(newton[n] - partition_sum) < 1e-8
 
