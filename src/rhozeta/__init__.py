@@ -38,7 +38,6 @@ from .linalg import (
     ZERO_EIGENVALUE_TOL,
     DensityMatrix,
     eig_hermitian,
-    elementary_from_power_sums,
     kron,
     load_matrix,
     matrix_from_json,
@@ -53,7 +52,6 @@ from .linalg import (
 from .quantum import (
     BUILTIN_STATES,
     PureState,
-    SymmetricProjector,
     acceptance_probability,
     bell_state,
     builtin_state,

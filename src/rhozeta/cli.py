@@ -42,9 +42,6 @@ from .zeta import (
     zeta_eval,
 )
 
-#: u-distance below which a curve sample row is flagged as singular.
-SINGULAR_ROW_TOL = 1e-6
-
 # Size caps, checked before any state is built or array allocated.
 _MAX_COEFF_ORDER = 64
 _MAX_RANDOM_DIM = 128
@@ -120,20 +117,13 @@ def cmd_coeffs(args) -> int:
 
 def _curve_rows(rho: DensityMatrix, args, p_value=None):
     rational = singularities(rho)
-    locations = [u for u, _ in rational.singularities]
     rows = []
     for u in np.linspace(args.u_min, args.u_max, args.steps):
         u = float(u)
         prefix = [repr(u)] if p_value is None else [repr(u), repr(p_value)]
-        near = any(abs(u - loc) <= SINGULAR_ROW_TOL for loc in locations)
-        if not near:
-            try:
-                value = zeta_eval(rational, u)
-            except AtSingularity:
-                # high-multiplicity poles underflow the evaluation guard
-                # slightly outside the flag distance; flag those rows too
-                near = True
-        if near:
+        try:
+            value = zeta_eval(rational, u)
+        except AtSingularity:
             rows.append(prefix + ["", "", "1"])
         else:
             rows.append(prefix + [repr(value.real), repr(value.imag), "0"])

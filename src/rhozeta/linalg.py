@@ -143,23 +143,6 @@ def eig_hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
-def elementary_from_power_sums(power_sums) -> list:
-    """Elementary symmetric functions e_0..e_d from power sums p_1..p_d.
-
-    Uses the triangular recurrence e_k = (1/k) * sum_{m=1..k} (-1)^(m-1)
-    e_{k-m} p_m, so that det(I - u*rho) = sum_k (-1)^k e_k u^k.
-    """
-    p = list(power_sums)
-    e = [1.0]
-    for k in range(1, len(p) + 1):
-        total = 0.0
-        for m in range(1, k + 1):
-            term = e[k - m] * p[m - 1]
-            total += term if m % 2 == 1 else -term
-        e.append(total / k)
-    return e
-
-
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded Haar-random unitary, deterministic per seed.
 
@@ -203,7 +186,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
     n = obj["dim"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'dim' must be a positive integer")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
@@ -212,9 +195,13 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     out = np.empty(n * n, dtype=complex)
     for idx, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"entry {idx} is not a [re, im] pair")
-        out[idx] = complex(float(pair[0]), float(pair[1]))
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)):
+            raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
+        try:
+            out[idx] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"entry {idx} exceeds the float range") from None
     return as_square_matrix(out.reshape(n, n))
 
 
@@ -226,4 +213,8 @@ def save_matrix(path, matrix) -> None:
 
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply") from None
+    return matrix_from_json(obj)

@@ -6,7 +6,6 @@ power of the state.  It is deliberately independent of the series
 machinery in zeta.py so the two can cross-check each other.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial, sqrt
 
@@ -178,20 +177,12 @@ def permutation_operator(d: int, k: int, perm) -> np.ndarray:
     return op
 
 
-@dataclass(frozen=True)
-class SymmetricProjector:
-    """Projector onto the symmetric subspace of k copies of dimension d."""
+def symmetric_projector(d: int, k: int) -> np.ndarray:
+    """Read-only projector onto the symmetric subspace of k copies of dimension d.
 
-    d: int
-    k: int
-    matrix: np.ndarray
-
-
-def symmetric_projector(d: int, k: int) -> SymmetricProjector:
-    """Average of all k! permutation operators, with invariant checks.
-
-    Verified on every construction: Hermiticity, idempotence, and trace
-    equal to the symmetric-subspace dimension binom(d+k-1, k).
+    The average of all k! permutation operators, verified on every
+    construction: Hermiticity, idempotence, and trace equal to the
+    symmetric-subspace dimension binom(d+k-1, k).
     """
     n = _check_caps(d, k)
     digits = _digits(d, k)
@@ -211,7 +202,7 @@ def symmetric_projector(d: int, k: int) -> SymmetricProjector:
     if trace_defect > _PROJECTOR_TRACE_TOL:
         raise RuntimeError(f"projector trace defect {trace_defect:.3e}")
     proj.flags.writeable = False
-    return SymmetricProjector(d=d, k=k, matrix=proj)
+    return proj
 
 
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
@@ -221,7 +212,7 @@ def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     rho tensored with itself k times.
     """
     _check_caps(rho.dim, k)
-    proj = symmetric_projector(rho.dim, k).matrix
+    proj = symmetric_projector(rho.dim, k)
     power = rho.matrix
     for _ in range(k - 1):
         power = kron(power, rho.matrix)

@@ -9,8 +9,9 @@ graph of rho.  The three routes cross-check each other; agreement is the
 core correctness property of the package.
 """
 
-from dataclasses import dataclass, field
-from math import factorial, inf
+import sys
+from dataclasses import dataclass
+from math import exp, factorial, inf, log
 
 from .errors import (
     AtSingularity,
@@ -19,12 +20,7 @@ from .errors import (
     NonRealCoefficient,
 )
 from .graph import PRIME_LENGTH_CAP
-from .linalg import (
-    ZERO_EIGENVALUE_TOL,
-    DensityMatrix,
-    elementary_from_power_sums,
-    trace_powers,
-)
+from .linalg import ZERO_EIGENVALUE_TOL, DensityMatrix, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
 MULTIPLICITY_RTOL = 1e-8
@@ -32,8 +28,11 @@ MULTIPLICITY_RTOL = 1e-8
 #: Default tolerance for separability verdicts.
 DEFAULT_SEPARABILITY_TOL = 1e-6
 
+#: Distance in u within which zeta_eval reports a pole instead of a value.
+SINGULARITY_TOL = 1e-6
+
 _IMAG_TOL = 1e-9
-_SINGULARITY_GUARD = 1e-13
+_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,15 @@ class ZetaSeries:
 
 @dataclass(frozen=True)
 class ZetaRational:
-    """Rational form 1/denom(u) with denom = det(I - u*rho).
+    """Rational form 1/det(I - u*rho) = 1/prod(1 - u*lam) over the eigenvalues.
 
-    denom holds real polynomial coefficients (constant term first);
+    eigenvalues holds the eigenvalues above the zero threshold, ascending;
     singularities is an ascending list of (location, multiplicity) pairs,
     one location per group of reciprocal eigenvalues.
     """
 
-    denom: tuple
-    singularities: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.denom or self.denom[0] != 1.0:
-            raise ValueError("denominator must have constant term 1")
+    eigenvalues: tuple
+    singularities: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -209,15 +204,12 @@ def euler_product_coeffs(primes, order: int) -> ZetaSeries:
 def singularities(rho: DensityMatrix) -> ZetaRational:
     """Rational form of the zeta function with its singularity list.
 
-    The denominator det(I - u*rho) comes from the power sums via the
-    elementary-symmetric recurrence; the singularities are reciprocals of
-    the eigenvalues above the zero threshold, merged into multiplicities
-    when they agree within 1e-8 relative, ascending.
+    Keeps the validated eigenvalues above the zero threshold; the
+    singularities are their reciprocals, merged into multiplicities when
+    they agree within 1e-8 relative, ascending.
     """
-    p = trace_powers(rho, rho.dim)
-    e = elementary_from_power_sums(p)
-    denom = tuple(e[k] if k % 2 == 0 else -e[k] for k in range(len(e)))
-    locations = sorted(1.0 / lam for lam in rho.eigenvalues if lam > ZERO_EIGENVALUE_TOL)
+    eigenvalues = tuple(float(lam) for lam in rho.eigenvalues if lam > ZERO_EIGENVALUE_TOL)
+    locations = sorted(1.0 / lam for lam in eigenvalues)
     groups = []
     for u in locations:
         if groups:
@@ -226,18 +218,29 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
                 groups[-1] = ((mean * count + u) / (count + 1), count + 1)
                 continue
         groups.append((u, 1))
-    return ZetaRational(denom=denom, singularities=tuple(groups))
+    return ZetaRational(eigenvalues=eigenvalues, singularities=tuple(groups))
 
 
 def zeta_eval(rational: ZetaRational, u) -> complex:
-    """Evaluate 1/denom(u) by Horner's rule; error out on the poles."""
+    """Evaluate 1/prod(1 - u*lam) as a log-magnitude sum times a unit phase.
+
+    A large |u| underflows to zero rather than overflowing.  Raises
+    AtSingularity within SINGULARITY_TOL of a pole (|1 - u*lam| is then at
+    most SINGULARITY_TOL * lam) and where |zeta| exceeds the float range.
+    """
     u = complex(u)
-    value = 0j
-    for coeff in reversed(rational.denom):
-        value = value * u + coeff
-    if abs(value) <= _SINGULARITY_GUARD:
-        raise AtSingularity(f"denominator magnitude {abs(value):.3e} at u={u}")
-    return 1.0 / value
+    log_mag = 0.0
+    phase = 1 + 0j
+    for lam in rational.eigenvalues:
+        factor = 1 - u * lam
+        size = abs(factor)
+        if size <= SINGULARITY_TOL * lam:
+            raise AtSingularity(f"u={u} lies within {SINGULARITY_TOL:.0e} of the pole at {1 / lam!r}")
+        log_mag -= log(size)
+        phase *= factor.conjugate() / size
+    if log_mag > _LOG_FLOAT_MAX:
+        raise AtSingularity(f"|zeta({u})| = exp({log_mag:.1f}) exceeds the float range")
+    return phase * exp(log_mag)
 
 
 def is_separable_by_coeffs(

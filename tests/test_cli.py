@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.linalg import save_matrix
@@ -56,6 +58,24 @@ def test_graph_rejects_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["graph", "--file", str(bad)], capsys)
     assert code == 2
     assert "DimensionMismatch" in err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"dim": true, "entries": [[1, 0]]}',
+    '{"dim": 1, "entries": [[null, 0]]}',
+    '{"dim": 1, "entries": [[1, [0]]]}',
+    '{"dim": 1, "entries": [[{}, 0]]}',
+    '{"dim": 1, "entries": [[true, 0]]}',
+    '{"dim": 1, "entries": [["1", 0]]}',
+    '{"dim": 1, "entries": [[1' + "0" * 400 + ', 0]]}',
+    "[" * 100_000 + "]" * 100_000,
+], ids=["bool-dim", "null", "list", "object", "bool", "string", "huge-int", "deep"])
+def test_graph_rejects_mistyped_file(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code, _, err = run_cli(["graph", "--file", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error: ValueError")
 
 
 # -- coeffs ---------------------------------------------------------------------
@@ -149,9 +169,9 @@ def test_curve_flags_singular_rows(tmp_path, capsys):
     assert flagged[0][1] == "" and flagged[0][2] == ""
 
 
-def test_curve_flags_underflow_near_high_multiplicity_pole(tmp_path, capsys):
-    # (1 - u/4)^4 underflows the evaluation guard slightly outside the
-    # 1e-6 flag distance; those rows must be flagged, not crash the run
+def test_curve_near_high_multiplicity_pole_flags_only_the_pole(tmp_path, capsys):
+    # rows within 1e-6 of the fourfold pole at u = 4 are flagged; the rows
+    # 1.25e-6 and more away carry 1/(1 - u/4)^4, about 1e26
     out = tmp_path / "near.csv"
     code, _, _ = run_cli(
         ["curve", "--state", "isotropic", "--p", "1.0", "--u-min", "3.99999875",
@@ -160,7 +180,28 @@ def test_curve_flags_underflow_near_high_multiplicity_pole(tmp_path, capsys):
     )
     assert code == 0
     rows = read_csv(out)[1:]
-    assert all(row[3] == "1" and row[1] == "" for row in rows)
+    assert [row[3] for row in rows] == ["0", "1", "0", "0", "0"]
+    assert float(rows[1][0]) == 4.0 and rows[1][1] == rows[1][2] == ""
+    for row in rows[:1] + rows[2:]:
+        u = float(row[0])
+        expected = 1.0 / (1.0 - u / 4.0) ** 4
+        assert abs(float(row[1]) - expected) <= 1e-10 * expected
+        assert float(row[2]) == 0.0
+
+
+def test_curve_large_u_underflows_to_zero(tmp_path, capsys):
+    out = tmp_path / "far.csv"
+    code, _, _ = run_cli(
+        ["curve", "--state", "sigma3", "--u-min", "1e100", "--u-max", "1e300",
+         "--steps", "3", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[3] == "0"
+        assert all(math.isfinite(float(v)) for v in row[1:3])
 
 
 def test_curve_isotropic_surface(tmp_path, capsys):

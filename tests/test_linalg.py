@@ -14,7 +14,6 @@ from rhozeta.errors import (
 from rhozeta.linalg import (
     DensityMatrix,
     eig_hermitian,
-    elementary_from_power_sums,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -33,18 +32,6 @@ SIGMA = np.diag([1 / 3, 0, 0, 2 / 3]).astype(complex)
 def bell_density():
     v = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     return validate_density(np.outer(v, v.conj()))
-
-
-def cofactor_det(m):
-    """Independent determinant oracle by recursive cofactor expansion."""
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
-    total = 0j
-    for j in range(n):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1) ** j * m[0, j] * cofactor_det(minor)
-    return total
 
 
 # -- validate_density ---------------------------------------------------------
@@ -221,41 +208,6 @@ def test_eig_sums_match_traces():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         eig_hermitian(np.array([[0, 1], [0, 0]]))
-
-
-# -- elementary_from_power_sums -----------------------------------------------
-
-def test_elementary_one_dimensional():
-    assert elementary_from_power_sums([1.0]) == [1.0, 1.0]
-
-
-def test_elementary_maximally_mixed():
-    e = elementary_from_power_sums([1.0, 0.5])
-    assert np.allclose(e, [1.0, 1.0, 0.25], atol=1e-15)
-
-
-def test_elementary_matches_cofactor_oracle():
-    rho = random_density(3, 7)
-    e = elementary_from_power_sums(trace_powers(rho, 3))
-    u = 0.3
-    newton = sum((-1) ** k * e[k] * u ** k for k in range(4))
-    direct = cofactor_det(np.eye(3) - u * rho.matrix)
-    assert abs(newton - direct) < 1e-10
-
-
-def test_elementary_matches_polynomial_expansion():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        lam = rng.uniform(0, 1, size=4)
-        lam = lam / lam.sum()
-        p = [float((lam ** m).sum()) for m in range(1, 5)]
-        e = elementary_from_power_sums(p)
-        # oracle: expand prod (1 - lam_i u) directly
-        poly = np.array([1.0])
-        for l in lam:
-            poly = np.convolve(poly, [1.0, -l])
-        expected = [(-1) ** k * poly[k] for k in range(5)]
-        assert np.allclose(e, expected, atol=1e-10)
 
 
 # -- random_unitary / random_density ------------------------------------------

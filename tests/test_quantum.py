@@ -119,8 +119,8 @@ def test_caps_enforced():
 
 def test_projector_two_qubits():
     proj = symmetric_projector(2, 2)
-    assert abs(np.trace(proj.matrix).real - 3.0) < 1e-12
-    assert np.allclose(proj.matrix, (np.eye(4) + SWAP) / 2, atol=1e-12)
+    assert abs(np.trace(proj).real - 3.0) < 1e-12
+    assert np.allclose(proj, (np.eye(4) + SWAP) / 2, atol=1e-12)
     # brute-force rank of (I + SWAP)/2
     assert np.linalg.matrix_rank((np.eye(4) + SWAP) / 2) == 3
 
@@ -128,17 +128,17 @@ def test_projector_two_qubits():
 def test_projector_three_copies_matches_average():
     proj = symmetric_projector(2, 3)
     average = sum(permutation_operator(2, 3, p) for p in permutations(range(3))) / 6
-    assert np.allclose(proj.matrix, average, atol=1e-15)
-    assert abs(np.trace(proj.matrix).real - 4.0) < 1e-12
+    assert np.allclose(proj, average, atol=1e-15)
+    assert abs(np.trace(proj).real - 4.0) < 1e-12
 
 
 def test_projector_trivial_local_dimension():
-    assert np.array_equal(symmetric_projector(1, 4).matrix, np.eye(1))
+    assert np.array_equal(symmetric_projector(1, 4), np.eye(1))
 
 
 def test_projector_invariants():
     for d, k in ((2, 2), (3, 2), (2, 4), (3, 3)):
-        proj = symmetric_projector(d, k).matrix
+        proj = symmetric_projector(d, k)
         assert np.abs(proj - proj.conj().T).max() <= 1e-12
         assert np.abs(proj @ proj - proj).max() <= 1e-10
         assert abs(np.trace(proj).real - math.comb(d + k - 1, k)) <= 1e-8

@@ -20,7 +20,6 @@ from rhozeta.linalg import (
     validate_density,
 )
 from rhozeta.zeta import (
-    ZetaRational,
     ZetaSeries,
     cycle_index,
     euler_product_coeffs,
@@ -154,11 +153,6 @@ def test_zeta_at_singularity_raises():
         zeta_eval(singularities(GHZ_REDUCED), 2.0)
 
 
-def test_rational_constructor_guards_constant_term():
-    with pytest.raises(ValueError):
-        ZetaRational(denom=(0.0, 1.0))
-
-
 def test_zeta_has_no_zeros_on_grid():
     for rho in (PLUS, MAXMIXED2, SIGMA, W_REDUCED):
         rational = singularities(rho)
@@ -215,12 +209,30 @@ def test_singularity_eigenvalue_bijection():
 
 
 def test_denominator_matches_eigenvalue_product():
-    rho = random_density(4, 123)
-    rational = singularities(rho)
-    u = 0.37
-    horner = sum(c * u ** k for k, c in enumerate(rational.denom))
-    direct = np.prod([1 - u * lam for lam in np.linalg.eigvalsh(rho.matrix)])
-    assert abs(horner - direct) < 1e-12
+    # between the first 8 poles of large random states, against a 50-digit
+    # product over numpy's eigenvalues
+    mpmath = pytest.importorskip("mpmath")
+    for dim in (16, 32, 64):
+        for seed in (1, 2, 3):
+            rho = random_density(dim, seed)
+            rational = singularities(rho)
+            lams = np.linalg.eigvalsh(rho.matrix)
+            poles = sorted(1.0 / lams)[:8]
+            for left, right in zip(poles, poles[1:]):
+                for frac in (0.2, 0.5, 0.8):
+                    u = left + frac * (right - left)
+                    with mpmath.workdps(50):
+                        expected = float(1 / mpmath.fprod(1 - mpmath.mpf(u) * mpmath.mpf(lam) for lam in lams))
+                    value = zeta_eval(rational, u)
+                    assert value.imag == 0.0
+                    assert abs(value.real - expected) <= 1e-10 * abs(expected), (dim, seed, u)
+
+
+def test_zeta_beyond_float_range_is_singular():
+    rational = singularities(validate_density(np.eye(64) / 64))
+    # 64 + 2e-6 is outside the 1e-6 pole distance, but (1 - u/64)^-64 ~ e^1106
+    with pytest.raises(AtSingularity):
+        zeta_eval(rational, 64 + 2e-6)
 
 
 # -- separability verdicts --------------------------------------------------------------
