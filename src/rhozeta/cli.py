@@ -29,9 +29,9 @@ from .linalg import (
 )
 from .quantum import (
     BUILTIN_STATES,
-    MAX_COPIES,
     acceptance_probability,
     builtin_state,
+    check_copy_caps,
     isotropic_state,
 )
 from .zeta import (
@@ -49,7 +49,11 @@ _MAX_CURVE_ROWS = 100_000
 
 
 def _check_args(args) -> None:
-    """Validate a parsed invocation; raises before any work is done."""
+    """Validate a parsed invocation; raises before any work is done.
+
+    The copy caps of `bose` depend on the state's dimension, so cmd_bose
+    checks them right after loading the state.
+    """
     tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
     if not all(0 < tol < math.inf for tol in tols):
         raise ValueError("tolerances must be finite and positive")
@@ -73,8 +77,6 @@ def _check_args(args) -> None:
         rows = args.steps * (args.p_steps or 1)
         if rows > _MAX_CURVE_ROWS:
             raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
-    if args.command == "bose" and args.K > MAX_COPIES:
-        raise CapExceeded(f"k={args.K} exceeds cap {MAX_COPIES}")
     if args.state == "random" and args.dim > _MAX_RANDOM_DIM:
         raise CapExceeded(f"random state dim {args.dim} exceeds cap {_MAX_RANDOM_DIM}")
 
@@ -155,6 +157,7 @@ def cmd_primes(args) -> int:
 
 def cmd_bose(args) -> int:
     rho = _load_state(args)
+    check_copy_caps(rho.dim, args.K)
     series = series_coeffs(trace_powers(rho, args.K), args.K)
     lines = ["k,acceptance,coefficient,abs_diff"]
     for k in range(1, args.K + 1):

@@ -1,9 +1,13 @@
 """Reference states, the registry of named states, and the brute-force copy-symmetry test.
 
-acceptance_probability simulates the k-copy symmetric-subspace measurement
-literally, as the trace of the projector against the k-fold Kronecker
-power of the state.  It is deliberately independent of the series
-machinery in zeta.py so the two can cross-check each other.
+acceptance_probability evaluates the k-copy symmetric-subspace measurement
+by brute force over basis tuples: tr[P_sym rho^{(x)k}] is
+(1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m], one permutation at a
+time by index gather over the base-d digit table, so neither the
+d^k x d^k projector nor the Kronecker power is ever formed.  It is
+deliberately independent of the series machinery in zeta.py so the two
+can cross-check each other; symmetric_projector builds the dense
+projector that the tests compare it against.
 """
 
 from itertools import permutations
@@ -22,7 +26,9 @@ from .linalg import (
     validate_density,
 )
 
-#: Hard caps keeping the dense d^k x d^k projector tractable.
+#: Hard caps on the copy count and on d^k.  They bound the acceptance
+#: oracle's O(k! k d^k) gather and the dense d^k x d^k operators built by
+#: permutation_operator and symmetric_projector.
 MAX_COPIES = 5
 MAX_PROJECTOR_DIM = 4096
 
@@ -132,7 +138,8 @@ def builtin_state(name: str, p: float = 0.5, dim: int = 2, seed: int = 0) -> Den
     return factory(p, dim, seed)
 
 
-def _check_caps(d: int, k: int) -> int:
+def check_copy_caps(d: int, k: int) -> int:
+    """Return d^k, or raise if k copies of dimension d exceed the caps."""
     if k < 1 or d < 1:
         raise ValueError("need d >= 1 and k >= 1")
     if k > MAX_COPIES:
@@ -166,7 +173,7 @@ def permutation_operator(d: int, k: int, perm) -> np.ndarray:
     position perm^{-1}(m), so that composition of permutations matches
     matrix multiplication.
     """
-    n = _check_caps(d, k)
+    n = check_copy_caps(d, k)
     perm = tuple(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
@@ -184,7 +191,7 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     construction: Hermiticity, idempotence, and trace equal to the
     symmetric-subspace dimension binom(d+k-1, k).
     """
-    n = _check_caps(d, k)
+    n = check_copy_caps(d, k)
     digits = _digits(d, k)
     columns = np.arange(n)
     proj = np.zeros((n, n), dtype=complex)
@@ -208,16 +215,18 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     """Acceptance probability of the k-copy symmetry test on rho.
 
-    Computed literally as the trace of the symmetric projector against
-    rho tensored with itself k times.
+    Brute force over the d^k basis tuples i = (i_0, ..., i_{k-1}):
+    (1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m], which is the trace
+    of the symmetric projector against rho tensored with itself k times.
+    Each permutation gathers a d^k x k table of entries, so the cost is
+    O(k! k d^k) time and O(k d^k) memory.
     """
-    _check_caps(rho.dim, k)
-    proj = symmetric_projector(rho.dim, k)
-    power = rho.matrix
-    for _ in range(k - 1):
-        power = kron(power, rho.matrix)
-    value = complex(np.einsum("ij,ji->", proj, power))
-    return float(value.real)
+    check_copy_caps(rho.dim, k)
+    digits = _digits(rho.dim, k)
+    total = 0j
+    for perm in permutations(range(k)):
+        total += np.prod(rho.matrix[digits[:, perm], digits], axis=1).sum()
+    return float(total.real) / factorial(k)
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -132,7 +132,7 @@ def test_criterion_06_three_route_agreement():
 
 def _copy_counts(dim):
     k = 1
-    while k + 1 <= min(4, MAX_COPIES) and dim ** (k + 1) <= MAX_PROJECTOR_DIM:
+    while k + 1 <= MAX_COPIES and dim ** (k + 1) <= MAX_PROJECTOR_DIM:
         k += 1
     return range(1, k + 1)
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from rhozeta import cli
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.linalg import save_matrix
 
@@ -356,6 +357,16 @@ def test_bose_copy_cap(capsys):
     code, _, _ = run_cli(["bose", "--state", "plus", "--K", "5"], capsys)
     assert code == 0
     code, out, err = run_cli(["bose", "--state", "plus", "--K", "6"], capsys)
+    assert code == 2
+    assert out == "" and "CapExceeded" in err
+
+
+def test_bose_checks_copy_dimension_before_work(monkeypatch, capsys):
+    def refuse(rho, k):
+        raise AssertionError(f"acceptance_probability(k={k}) ran before the d^K cap check")
+
+    monkeypatch.setattr(cli, "acceptance_probability", refuse)
+    code, out, err = run_cli(["bose", "--state", "random", "--dim", "8", "--K", "5"], capsys)
     assert code == 2
     assert out == "" and "CapExceeded" in err
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rhozeta.errors import CapExceeded, InvalidParameter
-from rhozeta.linalg import partial_trace, random_density, trace_powers, validate_density
+from rhozeta.linalg import kron, partial_trace, random_density, trace_powers, validate_density
 from rhozeta.quantum import (
     PureState,
     acceptance_probability,
@@ -167,6 +167,19 @@ def test_acceptance_matches_series_coefficients():
         series = series_coeffs(trace_powers(rho, 4), 4)
         for k in range(1, 5):
             assert abs(acceptance_probability(rho, k) - series[k]) < 1e-9
+
+
+def test_acceptance_matches_dense_projector():
+    states = [sigma_state(), isotropic_state(0.3)]
+    states += [random_density(d, 700 + d) for d in range(1, 17)]
+    for rho in states:
+        power = rho.matrix
+        for k in range(1, 6):
+            if rho.dim ** k > 256:
+                break
+            dense = np.trace(symmetric_projector(rho.dim, k) @ power).real
+            assert abs(acceptance_probability(rho, k) - dense) <= 1e-12, (rho.dim, k)
+            power = kron(power, rho.matrix)
 
 
 def test_acceptance_monotone_in_copies():
