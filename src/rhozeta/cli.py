@@ -65,13 +65,13 @@ def _check_args(args) -> None:
         if args.N < 1:
             raise RhoZetaError("coefficient order must be at least 1")
     if args.command == "curve":
-        if args.steps < 2 or not -math.inf < args.u_min < args.u_max < math.inf:
-            raise ValueError("u grid needs finite min < max and at least 2 steps")
+        if args.steps < 2 or not args.u_min < args.u_max or not math.isfinite(args.u_max - args.u_min):
+            raise ValueError("u grid needs finite min < max, a finite span and at least 2 steps")
         if args.p_steps is not None:
             if args.p_min is None or args.p_max is None:
                 raise ValueError("p grid needs --p-min and --p-max")
-            if args.p_steps < 2 or not args.p_min < args.p_max:
-                raise ValueError("p grid needs min < max and at least 2 steps")
+            if args.p_steps < 2 or not args.p_min < args.p_max or not math.isfinite(args.p_max - args.p_min):
+                raise ValueError("p grid needs finite min < max and at least 2 steps")
             if args.file is not None or args.state != "isotropic":
                 raise RhoZetaError("p grid sweeps apply only to the isotropic state")
         rows = args.steps * (args.p_steps or 1)

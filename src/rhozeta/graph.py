@@ -6,7 +6,9 @@ The primes of such a graph are equivalence classes, under cyclic rotation,
 of primitive closed walks; walks may revisit vertices and edges, and the
 directed edges (i, j) and (j, i) are independent (no backtracking
 constraint).  Each class is represented by the lexicographically least
-rotation of its edge sequence, edges ordered by (origin, terminus).
+rotation of its edge sequence, edges ordered by (origin, terminus); its
+vertex sequence is a Lyndon word, and enumerate_primes generates each such
+word once.
 """
 
 import math
@@ -20,7 +22,7 @@ from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
 
-#: Hard cap on the edges the prime search appends (see _search_steps).
+#: Hard cap on the bound _search_steps puts on the prime search.
 MAX_SEARCH_STEPS = 5_000_000
 
 #: Entries with magnitude at or below this produce no edge.
@@ -49,10 +51,6 @@ class WeightedDigraph:
             weights[(origin, terminus)] = w
         self.n_vertices = n_vertices
         self.weights = dict(sorted(weights.items()))
-        succ = {v: [] for v in range(1, n_vertices + 1)}
-        for (origin, terminus) in self.weights:
-            succ[origin].append(terminus)
-        self._successors = {v: tuple(ts) for v, ts in succ.items()}
 
     @property
     def n_edges(self) -> int:
@@ -61,9 +59,6 @@ class WeightedDigraph:
     def edges(self):
         """Edges as (origin, terminus, weight) triples in sorted order."""
         return [(i, j, w) for (i, j), w in self.weights.items()]
-
-    def successors(self, vertex: int):
-        return self._successors[vertex]
 
     def __repr__(self):
         return f"WeightedDigraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
@@ -148,21 +143,10 @@ def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -
     return validate_density(laplacian / lap_trace, tol)
 
 
-def _canonical_rotation(seq: tuple) -> tuple:
-    return min(seq[k:] + seq[:k] for k in range(len(seq)))
-
-
-def _is_primitive(seq: tuple) -> bool:
-    length = len(seq)
-    for d in range(1, length):
-        if length % d == 0 and seq[:d] * (length // d) == seq:
-            return False
-    return True
-
-
 def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
-    """Edges enumerate_primes appends: over start vertices s, the walks of
-    length 1..length_cap from s that stay on vertices >= s.
+    """Bound on the edges enumerate_primes appends: over start vertices s,
+    the walks of length 1..length_cap from s that stay on vertices >= s.
+    Every prenecklace the search visits is such a walk.
 
     Counted with the 0/1 adjacency matrix in float64, exact below 2**53.
     """
@@ -183,13 +167,15 @@ def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
 def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
     """Enumerate prime classes of closed walks up to the given length.
 
-    Depth-first search from each start vertex s generates the closed walks
-    whose smallest visited vertex is s (successors below s are pruned; in a
-    closed walk every visited vertex is an origin, so the canonical
-    rotation starts at the minimum vertex).  Each walk is rotated to
-    canonical form, powers of shorter walks are discarded, and duplicates
-    collapse in a set.  Cost is exponential in the cap, so a search that
-    would append more than MAX_SEARCH_STEPS edges is refused up front.
+    A prime class is a Lyndon word over the vertex alphabet whose
+    consecutive letters, and last and first letters, are joined by edges;
+    comparing vertex words orders their edge sequences the same way, so the
+    word is the class's canonical rotation.  Ruskey's prenecklace generator
+    gen(t, p) builds each word once: a prenecklace of length t with period
+    p grows along an edge to any successor >= its letter t - p, and it is
+    a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
+    a search whose bound _search_steps exceeds MAX_SEARCH_STEPS is refused
+    up front.
 
     Returns PrimeClass objects sorted by (nu, rep).
     """
@@ -202,31 +188,38 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
         raise CapExceeded(
             f"length cap {length_cap} needs {steps:.3g} search steps, above cap {MAX_SEARCH_STEPS}"
         )
-    reps = set()
+    out_edges = {v: {} for v in range(1, g.n_vertices + 1)}
+    for edge, weight in g.weights.items():
+        out_edges[edge[0]][edge[1]] = (edge, weight)
+    by_length = [[] for _ in range(length_cap + 1)]
+    word, walk = [], []
+
+    def gen(t, p, norm):
+        # word holds t vertices with period p; walk holds its t - 1 edges,
+        # whose weights multiply to norm
+        if p == t and word[0] in out_edges[word[-1]]:
+            edge, weight = out_edges[word[-1]][word[0]]
+            by_length[t].append(PrimeClass(rep=(*walk, edge), nu=t, edge_norm=norm * weight))
+        if t == length_cap:
+            return
+        floor = word[t - p]
+        for nxt, (edge, weight) in out_edges[word[-1]].items():
+            if nxt < floor:
+                continue
+            word.append(nxt)
+            walk.append(edge)
+            gen(t + 1, p if nxt == floor else t + 1, norm * weight)
+            word.pop()
+            walk.pop()
+
     for start in range(1, g.n_vertices + 1):
-        walk = []
-
-        def extend(vertex):
-            for nxt in g.successors(vertex):
-                if nxt < start:
-                    continue
-                walk.append((vertex, nxt))
-                if nxt == start:
-                    rep = _canonical_rotation(tuple(walk))
-                    if _is_primitive(rep):
-                        reps.add(rep)
-                if len(walk) < length_cap:
-                    extend(nxt)
-                walk.pop()
-
-        extend(start)
-    classes = []
-    for rep in sorted(reps, key=lambda r: (len(r), r)):
-        norm = 1.0 + 0.0j
-        for edge in rep:
-            norm *= g.weights[edge]
-        classes.append(PrimeClass(rep=rep, nu=len(rep), edge_norm=norm))
-    return classes
+        word.append(start)
+        gen(1, 1, 1.0 + 0.0j)
+        word.pop()
+    # gen reaches itself through its closure; clearing it breaks that cycle,
+    # so the buckets are freed on return, not at the next cycle collection
+    del gen
+    return [prime for bucket in by_length for prime in bucket]
 
 
 def edge_norm(g: WeightedDigraph, walk) -> complex:

@@ -11,7 +11,7 @@ core correctness property of the package.
 
 import sys
 from dataclasses import dataclass
-from math import exp, factorial, inf, log
+from math import exp, factorial, inf, isfinite, log
 
 from .errors import (
     AtSingularity,
@@ -161,12 +161,13 @@ def cycle_index(k: int, x) -> float:
 def euler_product_coeffs(primes, order: int) -> ZetaSeries:
     """Expand the Euler product over prime classes as a truncated series.
 
-    Each class contributes a factor 1/(1 - norm * u^nu), expanded as a
-    geometric series and multiplied out with truncation at the requested
-    order.  The prime list must be complete up to that length, so the
-    order may not exceed the enumeration cap.  Coefficients must come out
-    real (imaginary residue below 1e-9), and the imaginary parts are
-    dropped after the check.
+    Each class multiplies the series by 1/(1 - norm * u^nu), applied in
+    place as the ascending recurrence c[a] += norm * c[a - nu] for
+    a = nu..order; classes longer than the order leave it unchanged.  The
+    route shares no code with series_coeffs.  The prime list must be
+    complete up to that length, so the order may not exceed the
+    enumeration cap.  Coefficients must come out real (imaginary residue
+    below 1e-9), and the imaginary parts are dropped after the check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -177,28 +178,12 @@ def euler_product_coeffs(primes, order: int) -> ZetaSeries:
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1 + 0j
     for prime in primes:
-        if prime.nu > order:
-            continue
-        factor = [0j] * (order + 1)
-        factor[0] = 1 + 0j
-        power = 1 + 0j
-        for j in range(1, order // prime.nu + 1):
-            power *= prime.edge_norm
-            factor[j * prime.nu] = power
-        product = [0j] * (order + 1)
-        for a in range(order + 1):
-            if coeffs[a] == 0:
-                continue
-            for b in range(order + 1 - a):
-                if factor[b] != 0:
-                    product[a + b] += coeffs[a] * factor[b]
-        coeffs = product
+        for a in range(prime.nu, order + 1):
+            coeffs[a] += prime.edge_norm * coeffs[a - prime.nu]
     worst = max(abs(c.imag) for c in coeffs)
     if worst > _IMAG_TOL:
         raise NonRealCoefficient(f"imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.1e}")
-    real = [c.real for c in coeffs]
-    real[0] = 1.0
-    return ZetaSeries(tuple(real))
+    return ZetaSeries(tuple(c.real for c in coeffs))
 
 
 def singularities(rho: DensityMatrix) -> ZetaRational:
@@ -226,9 +211,12 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
 
     A large |u| underflows to zero rather than overflowing.  Raises
     AtSingularity within SINGULARITY_TOL of a pole (|1 - u*lam| is then at
-    most SINGULARITY_TOL * lam) and where |zeta| exceeds the float range.
+    most SINGULARITY_TOL * lam) and where |zeta| exceeds the float range;
+    raises ValueError for a non-finite u.
     """
     u = complex(u)
+    if not (isfinite(u.real) and isfinite(u.imag)):
+        raise ValueError(f"u={u} is not finite")
     log_mag = 0.0
     phase = 1 + 0j
     for lam in rational.eigenvalues:

@@ -133,7 +133,7 @@ def test_nan_tolerances_are_input_errors(tmp_path, capsys):
                  ["coeffs", "--state", "plus", "--tol", "inf"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
-        assert out == "" and "finite" in err
+        assert out == "" and "ValueError" in err and "finite" in err
 
 
 # -- curve ----------------------------------------------------------------------
@@ -241,10 +241,16 @@ def test_curve_rejects_bad_grid(capsys):
 
 
 def test_curve_rejects_infinite_grid(capsys):
-    # an infinite end point made linspace print rows of NaN with exit 0
-    code, out, err = run_cli(["curve", "--state", "plus", "--u-max", "inf", "--steps", "3"], capsys)
-    assert code == 2
-    assert out == "" and "finite" in err
+    # an infinite end point, or finite end points whose span overflows,
+    # made linspace print rows of NaN with exit 0 (or NaN p values)
+    for argv in (
+        ["curve", "--state", "plus", "--u-max", "inf", "--steps", "3"],
+        ["curve", "--state", "sigma", "--u-min=-1e308", "--u-max=1e308", "--steps", "3"],
+        ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "inf", "--p-steps", "3"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and "ValueError" in err and "finite" in err
 
 
 def test_curve_surface_requires_p_range(capsys):

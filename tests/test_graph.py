@@ -1,5 +1,6 @@
 """Tests for the weighted digraph construction and prime enumeration."""
 
+import gc
 import math
 import re
 
@@ -135,6 +136,19 @@ def test_single_loop_powers_are_not_primitive():
     assert primes[0].nu == 1
 
 
+def test_enumeration_leaves_no_reference_cycles():
+    # a self-referencing search closure kept every class alive until the
+    # next cycle collection, which raised peak memory
+    g = graph_from_density(PLUS)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_primes(g, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_primes(graph_from_density(PLUS), 15)
@@ -152,11 +166,16 @@ def test_search_step_cap(monkeypatch):
 
 
 def test_length_one_norms_sum_to_trace():
+    """sum over classes with nu | m of nu * N(P)^(m/nu) equals tr(rho^m) for
+    every m up to the cap; m = 1 says the loop norms sum to the trace."""
+    length_cap = 5
     for seed in range(10):
         rho = random_density(2 + seed % 3, seed)
-        primes = enumerate_primes(graph_from_density(rho), 1)
-        total = sum(p.edge_norm for p in primes)
-        assert abs(total - 1.0) < 1e-10
+        primes = enumerate_primes(graph_from_density(rho), length_cap)
+        for m in range(1, length_cap + 1):
+            total = sum(p.nu * p.edge_norm ** (m // p.nu) for p in primes if m % p.nu == 0)
+            trace = np.trace(np.linalg.matrix_power(rho.matrix, m))
+            assert abs(total - trace) < 1e-10, (seed, m)
 
 
 def test_classes_are_canonical_and_unique():
@@ -175,17 +194,19 @@ def test_classes_are_canonical_and_unique():
             assert b == c
 
 
-def test_prime_count_matches_necklace_census():
-    """Against an independent count: closed walks of length m in a complete
-    digraph with loops number n^m (trace of the all-ones adjacency power);
-    Moebius counting over divisors gives the primitive classes."""
-    n = 3
-    rho = validate_density(np.full((n, n), 1 / n))
-    primes = enumerate_primes(graph_from_density(rho), 6)
-    by_len = {}
-    for p in primes:
-        by_len[p.nu] = by_len.get(p.nu, 0) + 1
+def random_sparse_digraph(seed):
+    """Random digraph on 3..8 vertices, each ordered pair an edge with
+    probability 0.35, weights complex normal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    rows, cols = (x.tolist() for x in np.nonzero(rng.random((n, n)) < 0.35))
+    return WeightedDigraph(n, [(i + 1, j + 1, complex(*rng.normal(size=2))) for i, j in zip(rows, cols)])
 
+
+def test_prime_count_matches_necklace_census():
+    """Against an independent count: closed walks of length m number tr(A^m)
+    for the 0/1 adjacency matrix A (n^m for the complete digraph with loops);
+    Moebius counting over divisors gives the primitive classes."""
     def mobius(m):
         out, x, f = 1, m, 2
         while f * f <= x:
@@ -197,9 +218,23 @@ def test_prime_count_matches_necklace_census():
             f += 1
         return -out if x > 1 else out
 
-    for m in range(1, 7):
-        divisor_sum = sum(mobius(m // d) * n ** d for d in range(1, m + 1) if m % d == 0)
-        assert by_len.get(m, 0) == divisor_sum // m
+    n = 3
+    graphs = [graph_from_density(validate_density(np.full((n, n), 1 / n)))]
+    graphs += [random_sparse_digraph(seed) for seed in range(6)]
+    for g in graphs:
+        by_len = {}
+        for p in enumerate_primes(g, 6):
+            by_len[p.nu] = by_len.get(p.nu, 0) + 1
+        adjacency = np.zeros((g.n_vertices, g.n_vertices), dtype=np.int64)
+        for i, j in g.weights:
+            adjacency[i - 1, j - 1] = 1
+        for m in range(1, 7):
+            divisor_sum = sum(
+                mobius(m // d) * int(np.trace(np.linalg.matrix_power(adjacency, d)))
+                for d in range(1, m + 1)
+                if m % d == 0
+            )
+            assert by_len.get(m, 0) == divisor_sum // m, (g, m)
 
 
 # -- edge_norm -------------------------------------------------------------------

@@ -122,6 +122,15 @@ def test_euler_empty_graph():
     assert euler_product_coeffs([], 3).coeffs == (1.0, 0.0, 0.0, 0.0)
 
 
+def test_euler_single_prime_strides_exactly():
+    # 1/(1 - 0.5 u^3) to order 7; a descending or wrongly strided loop
+    # puts mass elsewhere or misses the 0.25 at u^6
+    from rhozeta.graph import PrimeClass
+
+    triangle = PrimeClass(rep=((1, 2), (2, 3), (3, 1)), nu=3, edge_norm=0.5 + 0j)
+    assert euler_product_coeffs([triangle], 7).coeffs == (1, 0, 0, 0.5, 0, 0, 0.25, 0)
+
+
 def test_euler_rejects_order_beyond_cap():
     with pytest.raises(IncompletePrimes):
         euler_product_coeffs([], 15)
@@ -146,6 +155,12 @@ def test_zeta_at_zero_is_one():
 def test_zeta_pure_state_pole_structure():
     value = zeta_eval(singularities(PLUS), 0.5)
     assert abs(value - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, complex(0.5, math.inf)])
+def test_zeta_eval_rejects_non_finite_u(u):
+    with pytest.raises(ValueError, match="not finite"):
+        zeta_eval(singularities(PLUS), u)
 
 
 def test_zeta_at_singularity_raises():
