@@ -185,7 +185,8 @@ def _add_state_arguments(parser):
     parser.add_argument("--dim", type=int, default=2, help="dimension of the random state")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL,
+                        help="tolerance for validating a --file matrix; built-in states ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:

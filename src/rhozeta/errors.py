@@ -37,10 +37,6 @@ class CapExceeded(RhoZetaError):
     """Requested size is beyond a hard resource cap."""
 
 
-class NotAWalk(RhoZetaError):
-    """Edge sequence is not a connected walk in the graph."""
-
-
 # -- zeta functions ----------------------------------------------------------
 
 class InsufficientPowerSums(RhoZetaError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllLoops, CapExceeded, NotAWalk
+from .errors import AllLoops, CapExceeded
 from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
@@ -55,10 +55,6 @@ class WeightedDigraph:
     @property
     def n_edges(self) -> int:
         return len(self.weights)
-
-    def edges(self):
-        """Edges as (origin, terminus, weight) triples in sorted order."""
-        return [(i, j, w) for (i, j), w in self.weights.items()]
 
     def __repr__(self):
         return f"WeightedDigraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
@@ -112,9 +108,9 @@ class LaplacianWeights:
 def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> WeightedDigraph:
     """Build the weighted digraph of a density matrix.
 
-    Vertex i..n per basis index; edge (i, j) with weight rho_ij whenever
-    |rho_ij| exceeds zero_tol.  Both directions appear when both entries
-    are nonzero.
+    Vertices 1..n, one per basis index; edge (i, j) with weight rho_ij
+    whenever |rho_ij| exceeds zero_tol.  Both directions appear when both
+    entries are nonzero.
     """
     if not 0 <= zero_tol < math.inf:
         raise ValueError("zero_tol must be finite and nonnegative")
@@ -220,21 +216,6 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
     # so the buckets are freed on return, not at the next cycle collection
     del gen
     return [prime for bucket in by_length for prime in bucket]
-
-
-def edge_norm(g: WeightedDigraph, walk) -> complex:
-    """Product of edge weights along a walk; the empty walk gives 1."""
-    walk = [tuple(e) for e in walk]
-    norm = 1.0 + 0.0j
-    previous = None
-    for edge in walk:
-        if edge not in g.weights:
-            raise NotAWalk(f"edge {edge} not in graph")
-        if previous is not None and previous[1] != edge[0]:
-            raise NotAWalk(f"edge {edge} does not continue from {previous}")
-        norm *= g.weights[edge]
-        previous = edge
-    return norm
 
 
 def _format_weight(w: complex) -> str:

@@ -5,9 +5,8 @@ DensityMatrix, which is produced by validate_density and carries its
 eigenvalues (computed once, during validation, by numpy's eigvalsh).
 
 Index convention, fixed package-wide: in a bipartite system the first
-subsystem (A) is the slow, most-significant index.  kron(A, B) and
-partial_trace share this convention, so
-partial_trace(kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
+subsystem (A) is the slow, most-significant index, as in np.kron(A, B), so
+partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 """
 
 import json
@@ -58,9 +57,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def rank(self, zero_tol: float = ZERO_EIGENVALUE_TOL) -> int:
-        """Number of eigenvalues above the zero threshold."""
-        return int(np.sum(self.eigenvalues > zero_tol))
+    def rank(self) -> int:
+        """Number of eigenvalues above ZERO_EIGENVALUE_TOL."""
+        return int(np.sum(self.eigenvalues > ZERO_EIGENVALUE_TOL))
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, tol={self.tol:g})"
@@ -92,18 +91,11 @@ def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
         raise ValueError("m_max must be at least 1")
     a = rho.matrix
     power = a
-    values = []
-    for _ in range(m_max):
-        values.append(float(np.trace(power).real))
+    values = [float(np.trace(a).real)]
+    for _ in range(m_max - 1):
         power = power @ a
+        values.append(float(np.trace(power).real))
     return tuple(values)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices; the first factor is the slow index."""
-    a = as_square_matrix(a)
-    b = as_square_matrix(b)
-    return np.kron(a, b)
 
 
 def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:
@@ -143,30 +135,14 @@ def eig_hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-random unitary, deterministic per seed.
-
-    QR of a complex Gaussian matrix, with each column of Q multiplied by
-    the phase of the matching diagonal entry of R so that the law is Haar
-    (Mezzadri, Notices AMS 54, 2007).
-    """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_density(dim: int, seed: int, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def random_density(dim: int, seed: int) -> DensityMatrix:
     """Seeded full-rank random density matrix (normalized Wishart sample)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
-    return validate_density(w / np.trace(w).real, tol)
+    return validate_density(w / np.trace(w).real)
 
 
 # -- shared matrix JSON format -----------------------------------------------

@@ -6,59 +6,44 @@ by brute force over basis tuples: tr[P_sym rho^{(x)k}] is
 time by index gather over the base-d digit table, so neither the
 d^k x d^k projector nor the Kronecker power is ever formed.  It is
 deliberately independent of the series machinery in zeta.py so the two
-can cross-check each other; symmetric_projector builds the dense
-projector that the tests compare it against.
+can cross-check each other.
 """
 
 from itertools import permutations
-from math import comb, factorial, sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .linalg import (
-    DEFAULT_TOL,
-    DensityMatrix,
-    kron,
-    partial_trace,
-    random_density,
-    trace_powers,
-    validate_density,
-)
+from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace, random_density, validate_density
 
 #: Hard caps on the copy count and on d^k.  They bound the acceptance
-#: oracle's O(k! k d^k) gather and the dense d^k x d^k operators built by
-#: permutation_operator and symmetric_projector.
+#: oracle's O(k! k d^k) gather.
 MAX_COPIES = 5
 MAX_PROJECTOR_DIM = 4096
-
-_PROJECTOR_IDEMPOTENT_TOL = 1e-10
-_PROJECTOR_HERMITIAN_TOL = 1e-12
-_PROJECTOR_TRACE_TOL = 1e-8
 
 
 class PureState:
     """A unit vector; density() gives the corresponding rank-one state."""
 
-    __slots__ = ("amplitudes", "tol")
+    __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, tol: float = DEFAULT_TOL):
+    def __init__(self, amplitudes):
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size == 0 or not np.all(np.isfinite(amps)):
             raise InvalidParameter("amplitudes must be a nonempty finite vector")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > tol:
-            raise InvalidParameter(f"state norm {norm!r} is not 1 within {tol:.1e}")
+        if abs(norm - 1.0) > DEFAULT_TOL:
+            raise InvalidParameter(f"state norm {norm!r} is not 1 within {DEFAULT_TOL:.1e}")
         amps.flags.writeable = False
         self.amplitudes = amps
-        self.tol = tol
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
     def density(self) -> DensityMatrix:
-        return validate_density(np.outer(self.amplitudes, self.amplitudes.conj()), self.tol)
+        return validate_density(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def plus_state() -> PureState:
@@ -105,7 +90,7 @@ def _reduced(pure: PureState) -> DensityMatrix:
 
 def _sigma3() -> DensityMatrix:
     s = sigma_state().matrix
-    return validate_density(kron(kron(s, s), s))
+    return validate_density(np.kron(np.kron(s, s), s))
 
 
 #: Named states.  Every factory takes (p, dim, seed): p parametrizes the
@@ -155,63 +140,6 @@ def _digits(d: int, k: int) -> np.ndarray:
     return np.stack(np.unravel_index(np.arange(d ** k), (d,) * k), axis=1)
 
 
-def _permuted_indices(digits: np.ndarray, d: int, perm) -> np.ndarray:
-    """Image of each basis index under tensor-factor permutation perm."""
-    k = digits.shape[1]
-    inverse = [0] * k
-    for src, dst in enumerate(perm):
-        inverse[dst] = src
-    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return digits[:, inverse] @ weights
-
-
-def permutation_operator(d: int, k: int, perm) -> np.ndarray:
-    """Unitary permuting k tensor factors of dimension d.
-
-    perm is in one-line notation over 0..k-1; the operator sends basis
-    vector (i_0, ..., i_{k-1}) to the tuple with factor m taken from
-    position perm^{-1}(m), so that composition of permutations matches
-    matrix multiplication.
-    """
-    n = check_copy_caps(d, k)
-    perm = tuple(perm)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
-    digits = _digits(d, k)
-    target = _permuted_indices(digits, d, perm)
-    op = np.zeros((n, n), dtype=complex)
-    op[target, np.arange(n)] = 1.0
-    return op
-
-
-def symmetric_projector(d: int, k: int) -> np.ndarray:
-    """Read-only projector onto the symmetric subspace of k copies of dimension d.
-
-    The average of all k! permutation operators, verified on every
-    construction: Hermiticity, idempotence, and trace equal to the
-    symmetric-subspace dimension binom(d+k-1, k).
-    """
-    n = check_copy_caps(d, k)
-    digits = _digits(d, k)
-    columns = np.arange(n)
-    proj = np.zeros((n, n), dtype=complex)
-    for perm in permutations(range(k)):
-        proj[_permuted_indices(digits, d, perm), columns] += 1.0
-    proj /= factorial(k)
-
-    herm = float(np.abs(proj - proj.conj().T).max())
-    if herm > _PROJECTOR_HERMITIAN_TOL:
-        raise RuntimeError(f"projector Hermiticity defect {herm:.3e}")
-    idem = float(np.abs(proj @ proj - proj).max())
-    if idem > _PROJECTOR_IDEMPOTENT_TOL:
-        raise RuntimeError(f"projector idempotence defect {idem:.3e}")
-    trace_defect = abs(float(np.trace(proj).real) - comb(d + k - 1, k))
-    if trace_defect > _PROJECTOR_TRACE_TOL:
-        raise RuntimeError(f"projector trace defect {trace_defect:.3e}")
-    proj.flags.writeable = False
-    return proj
-
-
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     """Acceptance probability of the k-copy symmetry test on rho.
 
@@ -228,7 +156,3 @@ def acceptance_probability(rho: DensityMatrix, k: int) -> float:
         total += np.prod(rho.matrix[digits[:, perm], digits], axis=1).sum()
     return float(total.real) / factorial(k)
 
-
-def purity(rho: DensityMatrix) -> float:
-    """tr[rho^2]; one exactly for pure states, 1/dim for maximally mixed."""
-    return trace_powers(rho, 2)[1]

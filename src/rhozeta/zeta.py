@@ -11,7 +11,7 @@ core correctness property of the package.
 
 import sys
 from dataclasses import dataclass
-from math import exp, factorial, inf, isfinite, log
+from math import exp, inf, isfinite, log
 
 from .errors import (
     AtSingularity,
@@ -44,13 +44,6 @@ class ZetaSeries:
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != 1.0:
             raise ValueError("series must start with constant coefficient 1")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __len__(self):
-        return len(self.coeffs)
 
     def __getitem__(self, n):
         return self.coeffs[n]
@@ -111,51 +104,6 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
     for n in range(1, order + 1):
         c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
     return ZetaSeries(tuple(c))
-
-
-def partition_multiplicities(k: int):
-    """Yield partitions of k as multiplicity tuples (a_1, ..., a_k).
-
-    a[j-1] counts the parts equal to j, so sum(j * a_j) == k.  Partitions
-    appear in order of decreasing largest part.
-    """
-    def descending_parts(remaining, max_part):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(max_part, remaining), 0, -1):
-            for rest in descending_parts(remaining - first, first):
-                yield (first,) + rest
-
-    for parts in descending_parts(k, k if k else 1):
-        mult = [0] * k
-        for part in parts:
-            mult[part - 1] += 1
-        yield tuple(mult)
-
-
-def cycle_index(k: int, x) -> float:
-    """Cycle index polynomial of the symmetric group on k letters at x_1..x_k.
-
-    Exact partition sum: for each partition with multiplicities a_j the term
-    is prod_j x_j^a_j / (j^a_j a_j!).  Terms accumulate in the generator's
-    descending-largest-part order.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1.0
-    x = list(x)
-    if len(x) < k:
-        raise ValueError(f"need {k} arguments, got {len(x)}")
-    total = 0.0
-    for mult in partition_multiplicities(k):
-        term = 1.0
-        for j, a in enumerate(mult, start=1):
-            if a:
-                term *= x[j - 1] ** a / (j ** a * factorial(a))
-        total += term
-    return total
 
 
 def euler_product_coeffs(primes, order: int) -> ZetaSeries:

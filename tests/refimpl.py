@@ -1,0 +1,137 @@
+"""Reference implementations the tests compare the package against.
+
+None of these is on a path the CLI runs: the dense symmetric projector and
+permutation operators check the acceptance gather, the partition-sum cycle
+index checks the series recurrence, and seeded Haar unitaries drive the
+basis-invariance checks.  The copy caps come from rhozeta.quantum, so they
+keep one home.
+"""
+
+from itertools import permutations
+from math import comb, factorial
+
+import numpy as np
+
+from rhozeta.quantum import _digits, check_copy_caps
+
+_PROJECTOR_IDEMPOTENT_TOL = 1e-10
+_PROJECTOR_HERMITIAN_TOL = 1e-12
+_PROJECTOR_TRACE_TOL = 1e-8
+
+
+def _permuted_indices(digits: np.ndarray, d: int, perm) -> np.ndarray:
+    """Image of each basis index under tensor-factor permutation perm."""
+    k = digits.shape[1]
+    inverse = [0] * k
+    for src, dst in enumerate(perm):
+        inverse[dst] = src
+    weights = d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return digits[:, inverse] @ weights
+
+
+def permutation_operator(d: int, k: int, perm) -> np.ndarray:
+    """Unitary permuting k tensor factors of dimension d.
+
+    perm is in one-line notation over 0..k-1; the operator sends basis
+    vector (i_0, ..., i_{k-1}) to the tuple with factor m taken from
+    position perm^{-1}(m), so that composition of permutations matches
+    matrix multiplication.
+    """
+    n = check_copy_caps(d, k)
+    perm = tuple(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
+    digits = _digits(d, k)
+    target = _permuted_indices(digits, d, perm)
+    op = np.zeros((n, n), dtype=complex)
+    op[target, np.arange(n)] = 1.0
+    return op
+
+
+def symmetric_projector(d: int, k: int) -> np.ndarray:
+    """Read-only projector onto the symmetric subspace of k copies of dimension d.
+
+    The average of all k! permutation operators, verified on every
+    construction: Hermiticity, idempotence, and trace equal to the
+    symmetric-subspace dimension binom(d+k-1, k).
+    """
+    n = check_copy_caps(d, k)
+    digits = _digits(d, k)
+    columns = np.arange(n)
+    proj = np.zeros((n, n), dtype=complex)
+    for perm in permutations(range(k)):
+        proj[_permuted_indices(digits, d, perm), columns] += 1.0
+    proj /= factorial(k)
+
+    herm = float(np.abs(proj - proj.conj().T).max())
+    if herm > _PROJECTOR_HERMITIAN_TOL:
+        raise RuntimeError(f"projector Hermiticity defect {herm:.3e}")
+    idem = float(np.abs(proj @ proj - proj).max())
+    if idem > _PROJECTOR_IDEMPOTENT_TOL:
+        raise RuntimeError(f"projector idempotence defect {idem:.3e}")
+    trace_defect = abs(float(np.trace(proj).real) - comb(d + k - 1, k))
+    if trace_defect > _PROJECTOR_TRACE_TOL:
+        raise RuntimeError(f"projector trace defect {trace_defect:.3e}")
+    proj.flags.writeable = False
+    return proj
+
+
+def partition_multiplicities(k: int):
+    """Yield partitions of k as multiplicity tuples (a_1, ..., a_k).
+
+    a[j-1] counts the parts equal to j, so sum(j * a_j) == k.  Partitions
+    appear in order of decreasing largest part.
+    """
+    def descending_parts(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(max_part, remaining), 0, -1):
+            for rest in descending_parts(remaining - first, first):
+                yield (first,) + rest
+
+    for parts in descending_parts(k, k if k else 1):
+        mult = [0] * k
+        for part in parts:
+            mult[part - 1] += 1
+        yield tuple(mult)
+
+
+def cycle_index(k: int, x) -> float:
+    """Cycle index polynomial of the symmetric group on k letters at x_1..x_k.
+
+    Exact partition sum: for each partition with multiplicities a_j the term
+    is prod_j x_j^a_j / (j^a_j a_j!).  Terms accumulate in the generator's
+    descending-largest-part order.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k == 0:
+        return 1.0
+    x = list(x)
+    if len(x) < k:
+        raise ValueError(f"need {k} arguments, got {len(x)}")
+    total = 0.0
+    for mult in partition_multiplicities(k):
+        term = 1.0
+        for j, a in enumerate(mult, start=1):
+            if a:
+                term *= x[j - 1] ** a / (j ** a * factorial(a))
+        total += term
+    return total
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """Seeded Haar-random unitary, deterministic per seed.
+
+    QR of a complex Gaussian matrix, with each column of Q multiplied by
+    the phase of the matching diagonal entry of R so that the law is Haar
+    (Mezzadri, Notices AMS 54, 2007).
+    """
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from refimpl import cycle_index, random_unitary
 from rhozeta.cli import builtin_state
 from rhozeta.graph import (
     LaplacianWeights,
@@ -16,14 +17,9 @@ from rhozeta.graph import (
     enumerate_primes,
     graph_from_density,
 )
-from rhozeta.linalg import (
-    random_density,
-    random_unitary,
-    trace_powers,
-    validate_density,
-)
+from rhozeta.linalg import random_density, trace_powers, validate_density
 from rhozeta.quantum import MAX_COPIES, MAX_PROJECTOR_DIM, acceptance_probability
-from rhozeta.zeta import cycle_index, euler_product_coeffs, series_coeffs, singularities
+from rhozeta.zeta import euler_product_coeffs, series_coeffs, singularities
 
 BUILTIN_NAMES = (
     "plus", "bell", "bell-reduced", "maxmixed2", "maxmixed4",

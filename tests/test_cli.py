@@ -136,6 +136,17 @@ def test_nan_tolerances_are_input_errors(tmp_path, capsys):
         assert out == "" and "ValueError" in err and "finite" in err
 
 
+def test_validation_tol_applies_to_file_input(tmp_path, capsys):
+    near = tmp_path / "near.json"
+    save_matrix(near, np.diag([0.5 + 1e-6, 0.5]))
+    code, out, err = run_cli(["graph", "--file", str(near)], capsys)
+    assert code == 2
+    assert out == "" and "NotUnitTrace" in err
+    code, out, err = run_cli(["graph", "--file", str(near), "--validation-tol", "1e-5"], capsys)
+    assert code == 0
+    assert out.startswith("digraph G {") and "vertices: 2 edges: 2" in err
+
+
 # -- curve ----------------------------------------------------------------------
 
 def test_curve_plus_matches_geometric(tmp_path, capsys):

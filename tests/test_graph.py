@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from rhozeta import graph
-from rhozeta.errors import AllLoops, CapExceeded, NotAWalk
+from rhozeta.errors import AllLoops, CapExceeded
 from rhozeta.graph import (
     LaplacianWeights,
     WeightedDigraph,
     density_from_weighted_graph,
-    edge_norm,
     enumerate_primes,
     export_dot,
     graph_from_density,
@@ -44,7 +43,7 @@ def test_maximally_mixed_graph_is_loops_only():
 def test_trivial_graph():
     g = graph_from_density(validate_density(np.array([[1.0]])))
     assert g.n_vertices == 1
-    assert g.edges() == [(1, 1, 1.0 + 0j)]
+    assert g.weights == {(1, 1): 1.0 + 0j}
 
 
 def test_diagonal_density_gives_only_loops_and_length_one_primes():
@@ -235,38 +234,6 @@ def test_prime_count_matches_necklace_census():
                 if m % d == 0
             )
             assert by_len.get(m, 0) == divisor_sum // m, (g, m)
-
-
-# -- edge_norm -------------------------------------------------------------------
-
-def test_edge_norm_loop():
-    g = graph_from_density(MAXMIXED2)
-    assert edge_norm(g, [(1, 1)]) == 0.5
-
-
-def test_edge_norm_round_trip_walk():
-    g = graph_from_density(PLUS)
-    assert abs(edge_norm(g, [(1, 2), (2, 1)]) - 0.25) < 1e-12
-
-
-def test_edge_norm_of_power_is_power_of_norm():
-    g = graph_from_density(PLUS)
-    walk = [(1, 2), (2, 1)]
-    single = edge_norm(g, walk)
-    double = edge_norm(g, walk * 2)
-    assert abs(double - single ** 2) < 1e-12
-
-
-def test_edge_norm_empty_walk():
-    assert edge_norm(graph_from_density(PLUS), []) == 1.0
-
-
-def test_edge_norm_rejects_broken_walks():
-    g = graph_from_density(MAXMIXED2)
-    with pytest.raises(NotAWalk):
-        edge_norm(g, [(1, 2)])
-    with pytest.raises(NotAWalk):
-        edge_norm(g, [(1, 1), (2, 2)])
 
 
 # -- DOT export -------------------------------------------------------------------
