@@ -2,7 +2,8 @@
 
 Matrices are plain numpy complex128 arrays; the only wrapper type is
 DensityMatrix, which is produced by validate_density and carries its
-eigenvalues (computed once, during validation, by numpy's eigvalsh).
+eigenvalues (computed once, during validation, by numpy's eigvalsh) and,
+once trace_powers has been asked for them, its power sums.
 
 Index convention, fixed package-wide: in a bipartite system the first
 subsystem (A) is the slow, most-significant index, as in np.kron(A, B), so
@@ -11,16 +12,26 @@ partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 
 import json
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
+from .errors import CapExceeded, DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
 
 #: Default absolute tolerance for density-matrix validation.
 DEFAULT_TOL = 1e-9
 
 #: Eigenvalues with magnitude at or below this are treated as zero.
 ZERO_EIGENVALUE_TOL = 1e-12
+
+#: Block size of trace_powers: it forms rho^1..rho^POWER_BLOCK, then steps
+#: by rho^POWER_BLOCK.
+POWER_BLOCK = 8
+
+#: Caps on a matrix JSON input, checked before it is parsed or decoded.
+#: trace_powers holds about (POWER_BLOCK + 2) * dim^2 complex entries.
+MAX_FILE_BYTES = 32 * 2**20
+MAX_FILE_DIM = 512
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -37,12 +48,15 @@ class DensityMatrix:
     """A validated density matrix: Hermitian, unit-trace, positive semi-definite.
 
     Construct through validate_density; the constructor itself performs no
-    checks.  Instances are immutable (the underlying array is read-only) and
-    safe to share between threads.  ``eigenvalues`` holds the real spectrum
-    in ascending order, as computed during validation.
+    checks.  The matrix, tolerance and spectrum are immutable (the arrays are
+    read-only).  ``eigenvalues`` holds the real spectrum in ascending order,
+    as computed during validation.  The one mutable slot caches the power
+    sums: trace_powers fills it lazily and only ever stores values that
+    depend on the matrix alone, so two threads that race on it at worst
+    both compute the same values, and instances stay safe to share.
     """
 
-    __slots__ = ("matrix", "tol", "eigenvalues")
+    __slots__ = ("matrix", "tol", "eigenvalues", "_power_sums")
 
     def __init__(self, matrix: np.ndarray, tol: float, eigenvalues: np.ndarray):
         matrix = matrix.copy()
@@ -52,6 +66,7 @@ class DensityMatrix:
         self.matrix = matrix
         self.tol = tol
         self.eigenvalues = eigenvalues
+        self._power_sums = ()
 
     @property
     def dim(self) -> int:
@@ -83,19 +98,40 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
-    """Power sums p_m = tr[rho^m] for m = 1..m_max, by repeated multiplication.
+    """Power sums p_m = tr[rho^m] for m = 1..m_max, by blocked matrix products.
 
-    Element m-1 of the returned tuple holds p_m.
+    Element m-1 of the returned tuple holds p_m.  With b = POWER_BLOCK,
+    rho^1..rho^b are formed by repeated multiplication into one stack, and
+    p_1..p_b are its traces.  Beyond that, p_(jb+i) = tr[(rho^b)^j rho^i]:
+    each giant step (rho^b)^j is one more product, and its b traces are one
+    matrix-vector product of the flattened stack against the flattened
+    transpose of (rho^b)^j.
+    Blocks are always computed whole, so p_m depends on m alone, not on
+    m_max.  The result is cached on rho, and a call for fewer power sums
+    returns a prefix of a longer one; a call for more recomputes.  The
+    eigenvalues are never read, so this route stays independent of the
+    rational one.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    a = rho.matrix
-    power = a
-    values = [float(np.trace(a).real)]
-    for _ in range(m_max - 1):
-        power = power @ a
-        values.append(float(np.trace(power).real))
-    return tuple(values)
+    values = rho._power_sums
+    if len(values) < m_max:
+        a = rho.matrix
+        n = a.shape[0]
+        stack = np.empty((min(POWER_BLOCK, m_max), n, n), dtype=complex)
+        stack[0] = a
+        for i in range(1, len(stack)):
+            np.matmul(stack[i - 1], a, out=stack[i])
+        values = np.trace(stack, axis1=1, axis2=2).real.tolist()
+        if m_max > POWER_BLOCK:
+            rows = stack.reshape(POWER_BLOCK, n * n)
+            for giant in accumulate(repeat(stack[-1]), np.matmul):
+                values += (rows @ giant.T.ravel()).real.tolist()
+                if len(values) >= m_max:
+                    break
+        values = tuple(values)
+        rho._power_sums = values
+    return values[:m_max]
 
 
 def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:
@@ -164,6 +200,8 @@ def matrix_from_json(obj) -> np.ndarray:
     n = obj["dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'dim' must be a positive integer")
+    if n > MAX_FILE_DIM:
+        raise CapExceeded(f"matrix dim {n} exceeds cap {MAX_FILE_DIM}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise DimensionMismatch(
@@ -188,9 +226,13 @@ def save_matrix(path, matrix) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError("matrix JSON is nested too deeply") from None
+    """Read a matrix JSON file of at most MAX_FILE_BYTES bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise CapExceeded(f"matrix file exceeds cap of {MAX_FILE_BYTES} bytes")
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply") from None
     return matrix_from_json(obj)

@@ -12,6 +12,7 @@ core correctness property of the package.
 import sys
 from dataclasses import dataclass
 from math import exp, inf, isfinite, log
+from operator import mul
 
 from .errors import (
     AtSingularity,
@@ -93,7 +94,10 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
 
     c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}, which is the
     expansion of exp(sum_m p_m u^m / m) and, term for term, the cycle
-    index of the symmetric group at x_m = p_m.
+    index of the symmetric group at x_m = p_m.  The sum pairs p with the
+    coefficients so far in reverse and adds the products in order of m
+    with the builtin sum, so each c_n is the same float whatever the
+    length of power_sums.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -102,7 +106,7 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
         raise InsufficientPowerSums(f"need {order} power sums, got {len(p)}")
     c = [1.0]
     for n in range(1, order + 1):
-        c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
+        c.append(sum(map(mul, p, reversed(c))) / n)
     return ZetaSeries(tuple(c))
 
 

@@ -2,9 +2,10 @@
 
 None of these is on a path the CLI runs: the dense symmetric projector and
 permutation operators check the acceptance gather, the partition-sum cycle
-index checks the series recurrence, and seeded Haar unitaries drive the
-basis-invariance checks.  The copy caps come from rhozeta.quantum, so they
-keep one home.
+index checks the series recurrence, the one-product-at-a-time power sums
+and the generator form of the recurrence pin the bits of trace_powers and
+series_coeffs, and seeded Haar unitaries drive the basis-invariance
+checks.  The copy caps come from rhozeta.quantum, so they keep one home.
 """
 
 from itertools import permutations
@@ -135,3 +136,27 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def trace_powers_sequential(rho, m_max: int) -> tuple:
+    """p_m = tr[rho^m] for m = 1..m_max, one product and one trace per power.
+
+    rho^m is formed as rho^(m-1) @ rho, so p_1..p_b of the blocked
+    trace_powers, which forms its stack the same way, match bit for bit.
+    """
+    a = rho.matrix
+    power = a
+    values = [float(np.trace(a).real)]
+    for _ in range(m_max - 1):
+        power = power @ a
+        values.append(float(np.trace(power).real))
+    return tuple(values)
+
+
+def series_coeffs_generator(power_sums, order: int) -> tuple:
+    """c_0..c_order by c_n = (1/n) sum_{m=1..n} p_m c_{n-m}, summing a generator."""
+    p = [float(v) for v in power_sums]
+    c = [1.0]
+    for n in range(1, order + 1):
+        c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
+    return tuple(c)

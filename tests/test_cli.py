@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rhozeta import cli
+from rhozeta import cli, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.linalg import save_matrix
 
@@ -77,6 +77,24 @@ def test_graph_rejects_mistyped_file(tmp_path, capsys, payload):
     code, _, err = run_cli(["graph", "--file", str(bad)], capsys)
     assert code == 2
     assert err.startswith("error: ValueError")
+
+
+def test_file_dim_cap_exits_before_decoding(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 100000, "entries": []}))
+    code, out, err = run_cli(["coeffs", "--file", str(big), "--N", "64"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: CapExceeded") and "100000" in err
+
+
+def test_file_byte_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rho.json"
+    save_matrix(path, np.eye(4) / 4)
+    monkeypatch.setattr(linalg, "MAX_FILE_BYTES", path.stat().st_size - 1)
+    monkeypatch.setattr(linalg.json, "loads", None)  # parsing would raise TypeError
+    code, out, err = run_cli(["graph", "--file", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: CapExceeded")
 
 
 # -- coeffs ---------------------------------------------------------------------

@@ -5,23 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from refimpl import random_unitary
+from refimpl import random_unitary, trace_powers_sequential
+from rhozeta import linalg
 from rhozeta.errors import (
+    CapExceeded,
     DimensionMismatch,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
 )
 from rhozeta.linalg import (
+    POWER_BLOCK,
     DensityMatrix,
     eig_hermitian,
+    load_matrix,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
     random_density,
+    save_matrix,
     trace_powers,
     validate_density,
 )
+from rhozeta.quantum import BUILTIN_STATES, builtin_state
 
 PLUS = np.array([[1, 1], [1, 1]], dtype=complex) / 2
 MAXMIXED2 = np.eye(2, dtype=complex) / 2
@@ -102,6 +108,62 @@ def test_trace_powers_monotone_nonincreasing():
             assert -rho.tol <= p[m] <= 1.0 + rho.tol
         for m in range(5):
             assert p[m + 1] <= p[m] + rho.tol
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _fresh(rho):
+    """A copy of rho with nothing cached."""
+    return DensityMatrix(rho.matrix, rho.tol, rho.eigenvalues)
+
+
+def _power_sum_states():
+    states = [builtin_state(name, p=0.3, dim=3, seed=5) for name in sorted(BUILTIN_STATES)]
+    states += [random_density(dim, seed) for dim in (1, 2, 3, 5, 8, 9, 16, 17, 33, 64, 128)
+               for seed in (1, 2)]
+    return states
+
+
+def test_trace_powers_first_block_matches_sequential_loop():
+    for rho in _power_sum_states():
+        expected = _bits(trace_powers_sequential(rho, POWER_BLOCK))
+        assert _bits(trace_powers(_fresh(rho), 64)[:POWER_BLOCK]) == expected
+        for m in range(1, POWER_BLOCK + 1):
+            assert _bits(trace_powers(_fresh(rho), m)) == expected[:m]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 17])
+def test_trace_powers_prefix_does_not_depend_on_call_order(dim):
+    rho = random_density(dim, 4)
+    for big in range(1, 65):
+        first_big = _fresh(rho)
+        full = _bits(trace_powers(first_big, big))
+        for small in range(1, big + 1):
+            first_small = _fresh(rho)
+            assert _bits(trace_powers(first_small, small)) == full[:small], (small, big)
+            assert _bits(trace_powers(first_small, big)) == full, (small, big)
+            assert _bits(trace_powers(first_big, small)) == full[:small], (small, big)
+
+
+def test_trace_powers_never_reads_eigenvalues():
+    rho = random_density(6, 3)
+    blind = DensityMatrix(rho.matrix, rho.tol, np.full(6, np.nan))
+    assert _bits(trace_powers(blind, 64)) == _bits(trace_powers(_fresh(rho), 64))
+
+
+def test_trace_powers_match_high_precision_eigenvalue_sums():
+    mpmath = pytest.importorskip("mpmath")
+    for dim in (1, 2, 8, 33, 64, 128):
+        for seed in (1, 2, 3):
+            rho = random_density(dim, seed)
+            p = trace_powers(rho, 64)
+            with mpmath.workdps(50):
+                lams = [mpmath.mpf(float(lam)) for lam in np.linalg.eigvalsh(rho.matrix)]
+                expected = [float(mpmath.fsum(lam**m for lam in lams)) for m in range(1, 65)]
+            for m, (got, want) in enumerate(zip(p, expected), start=1):
+                assert abs(got - want) <= 1e-12 * abs(want), (dim, seed, m)
 
 
 # -- kron ---------------------------------------------------------------------
@@ -250,3 +312,21 @@ def test_json_rejects_malformed_entry():
         matrix_from_json({"dim": 1, "entries": [[1.0]]})
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 0, "entries": []})
+
+
+def test_json_dim_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_FILE_DIM", 2)
+    assert matrix_from_json(matrix_to_json(np.eye(2) / 2)).shape == (2, 2)
+    with pytest.raises(CapExceeded):
+        matrix_from_json({"dim": 3, "entries": []})
+
+
+def test_load_matrix_refuses_file_above_byte_cap(tmp_path, monkeypatch):
+    path = tmp_path / "rho.json"
+    save_matrix(path, random_density(4, 2).matrix)
+    size = path.stat().st_size
+    monkeypatch.setattr(linalg, "MAX_FILE_BYTES", size)
+    assert load_matrix(path).shape == (4, 4)
+    monkeypatch.setattr(linalg, "MAX_FILE_BYTES", size - 1)
+    with pytest.raises(CapExceeded, match=str(size - 1)):
+        load_matrix(path)

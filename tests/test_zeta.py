@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from refimpl import cycle_index, partition_multiplicities, random_unitary
+from refimpl import cycle_index, partition_multiplicities, random_unitary, series_coeffs_generator
 from rhozeta.errors import (
     AtSingularity,
     IncompletePrimes,
@@ -13,6 +13,7 @@ from rhozeta.errors import (
 )
 from rhozeta.graph import enumerate_primes, graph_from_density
 from rhozeta.linalg import partial_trace, random_density, trace_powers, validate_density
+from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
     ZetaSeries,
     euler_product_coeffs,
@@ -70,6 +71,20 @@ def test_series_coefficients_stay_in_unit_interval():
         series = series_coeffs(trace_powers(rho, 8), 8)
         for c in series.coeffs:
             assert -1e-9 <= c <= 1.0 + 1e-9
+
+
+def test_series_matches_generator_form_bit_for_bit():
+    cases = [trace_powers(builtin_state(name, p=0.3, dim=5, seed=2), 64)
+             for name in sorted(BUILTIN_STATES)]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        length = int(rng.integers(0, 65))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        cases.append(tuple(scale * rng.standard_normal(length)))
+    for p in cases:
+        for order in {len(p), len(p) // 2}:
+            got = [c.hex() for c in series_coeffs(p, order).coeffs]
+            assert got == [c.hex() for c in series_coeffs_generator(p, order)]
 
 
 # -- cycle_index -------------------------------------------------------------------
