@@ -8,11 +8,19 @@ directed edges (i, j) and (j, i) are independent (no backtracking
 constraint).  Each class is represented by the lexicographically least
 rotation of its edge sequence, edges ordered by (origin, terminus); its
 vertex sequence is a Lyndon word, and enumerate_primes generates each such
-word once.
+word once, by a breadth-first prenecklace search over numpy arrays, one
+step per length.  It returns PrimeClasses: per-length arrays of words and
+edge norms, read as a sequence of PrimeClass items.  complex_product
+multiplies norms as Python's complex multiply does, bit for bit, so the
+array search and the Euler expansion give the same floats as a loop over
+Python numbers.
 """
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,20 +168,80 @@ def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
     return total
 
 
-def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
+def complex_product(a, b) -> np.ndarray:
+    """Elementwise a * b of complex arrays, rounded as CPython rounds complex * complex.
+
+    numpy's SIMD complex multiply may fuse a multiply and an add, which rounds
+    once where CPython rounds twice, and so differs from it in the last bit
+    of many products.  Each part is formed here from real products and one
+    sum, re = ar*br - ai*bi and im = ar*bi + ai*br, as CPython forms it, so
+    every element equals the Python product bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+class PrimeClasses(Sequence):
+    """Prime classes of lengths 1..len(words), sorted by (nu, rep).
+
+    words[nu - 1] is a (count, nu) array whose rows are the Lyndon vertex
+    words of the classes of length nu, ascending, and norms[nu - 1] holds
+    their complex edge norms.  A read-only sequence of PrimeClass: each item
+    is built from its row only when it is read.
+    """
+
+    def __init__(self, words, norms):
+        self.words = tuple(words)
+        self.norms = tuple(norms)
+        self._ends = list(accumulate(len(x) for x in self.norms))
+
+    def __len__(self):
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        k = bisect_right(self._ends, i)
+        row = i - (self._ends[k - 1] if k else 0)
+        return _prime_class(self.words[k][row].tolist(), self.norms[k][row].item())
+
+    def __iter__(self):
+        for words, norms in zip(self.words, self.norms):
+            for word, norm in zip(words.tolist(), norms.tolist()):
+                yield _prime_class(word, norm)
+
+
+def _prime_class(word, norm) -> PrimeClass:
+    return PrimeClass(rep=tuple(zip(word, word[1:] + word[:1])), nu=len(word), edge_norm=norm)
+
+
+def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
     """Enumerate prime classes of closed walks up to the given length.
 
     A prime class is a Lyndon word over the vertex alphabet whose
     consecutive letters, and last and first letters, are joined by edges;
     comparing vertex words orders their edge sequences the same way, so the
-    word is the class's canonical rotation.  Ruskey's prenecklace generator
-    gen(t, p) builds each word once: a prenecklace of length t with period
-    p grows along an edge to any successor >= its letter t - p, and it is
-    a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
-    a search whose bound _search_steps exceeds MAX_SEARCH_STEPS is refused
-    up front.
+    word is the class's canonical rotation.  Ruskey's prenecklace scheme
+    builds each word once: a prenecklace of length t with period p grows
+    along an edge to any successor >= its letter t - p, and it is a Lyndon
+    word exactly when p == t.  Cost is exponential in the cap, so a search
+    whose bound _search_steps exceeds MAX_SEARCH_STEPS is refused up front.
 
-    Returns PrimeClass objects sorted by (nu, rep).
+    The search is breadth first.  Level t holds every prenecklace of length
+    t as rows of a word array, with its period and the norm of its t - 1
+    edges.  Edges are keyed origin*(n+1) + terminus, in sorted order, so
+    the successors of a word are one run of keys; one searchsorted finds
+    every run of a level and np.repeat lays out the next level.  Children
+    follow their parent in ascending terminus order, so each level, and
+    the classes taken from it, are in lexicographic order without a sort.
+    Norms are multiplied with complex_product, left to right from 1 + 0j,
+    so each is the same float as a product of Python complex numbers.  A
+    level has at most as many rows as the search takes steps, so memory is
+    bounded by MAX_SEARCH_STEPS.
     """
     if length_cap < 1:
         raise ValueError("length cap must be at least 1")
@@ -184,38 +252,44 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8):
         raise CapExceeded(
             f"length cap {length_cap} needs {steps:.3g} search steps, above cap {MAX_SEARCH_STEPS}"
         )
-    out_edges = {v: {} for v in range(1, g.n_vertices + 1)}
-    for edge, weight in g.weights.items():
-        out_edges[edge[0]][edge[1]] = (edge, weight)
-    by_length = [[] for _ in range(length_cap + 1)]
-    word, walk = [], []
+    n = g.n_vertices
+    letter = np.min_scalar_type(n)
+    edges = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
+    weights = np.array(list(g.weights.values()), dtype=complex)
+    termini = edges[:, 1].astype(letter)
+    # a sentinel above every key keeps each searchsorted position in range
+    keys = np.append(edges[:, 0] * (n + 1) + edges[:, 1], (n + 1) ** 2)
+    run_end = np.searchsorted(keys, np.arange(1, n + 2) * (n + 1))  # run_end[v]: past v's last edge
 
-    def gen(t, p, norm):
-        # word holds t vertices with period p; walk holds its t - 1 edges,
-        # whose weights multiply to norm
-        if p == t and word[0] in out_edges[word[-1]]:
-            edge, weight = out_edges[word[-1]][word[0]]
-            by_length[t].append(PrimeClass(rep=(*walk, edge), nu=t, edge_norm=norm * weight))
+    word = np.arange(1, n + 1, dtype=letter)[:, None]
+    period = np.ones(n, dtype=np.uint8)
+    norm = np.ones(n, dtype=complex)
+    words, norms = [], []
+    for t in range(1, length_cap + 1):
+        last = word[:, -1].astype(np.intp)
+        lyndon = np.flatnonzero(period == t)
+        closing = last[lyndon] * (n + 1) + word[lyndon, 0]
+        at = np.searchsorted(keys, closing)
+        closes = keys[at] == closing
+        words.append(word[lyndon[closes]])
+        norms.append(complex_product(norm[lyndon[closes]], weights[at[closes]]))
         if t == length_cap:
-            return
-        floor = word[t - p]
-        for nxt, (edge, weight) in out_edges[word[-1]].items():
-            if nxt < floor:
-                continue
-            word.append(nxt)
-            walk.append(edge)
-            gen(t + 1, p if nxt == floor else t + 1, norm * weight)
-            word.pop()
-            walk.pop()
-
-    for start in range(1, g.n_vertices + 1):
-        word.append(start)
-        gen(1, 1, 1.0 + 0.0j)
-        word.pop()
-    # gen reaches itself through its closure; clearing it breaks that cycle,
-    # so the buckets are freed on return, not at the next cycle collection
-    del gen
-    return [prime for bucket in by_length for prime in bucket]
+            break
+        floor = word[np.arange(len(word)), t - period]
+        first = np.searchsorted(keys, last * (n + 1) + floor)
+        counts = run_end[last] - first
+        parent = np.repeat(np.arange(len(word)), counts)
+        edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        grown = termini[edge]
+        period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
+        if t + 1 == length_cap:
+            # the last level is read only for its classes: keep the Lyndon words that close
+            closing = grown.astype(np.intp) * (n + 1) + word[parent, 0]
+            keep = (period == length_cap) & (keys[np.searchsorted(keys, closing)] == closing)
+            parent, edge, grown, period = parent[keep], edge[keep], grown[keep], period[keep]
+        word = np.concatenate([word[parent], grown[:, None]], axis=1)
+        norm = complex_product(norm[parent], weights[edge])
+    return PrimeClasses(words, norms)
 
 
 def _format_weight(w: complex) -> str:
@@ -233,17 +307,13 @@ def export_dot(g: WeightedDigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def walk_vertices(rep) -> str:
-    """Vertex-path rendering of a closed edge sequence, e.g. '1->2->1'."""
-    if not rep:
-        return ""
-    verts = [str(rep[0][0])] + [str(edge[1]) for edge in rep]
-    return "->".join(verts)
+def primes_csv(primes: PrimeClasses) -> str:
+    """CSV table of prime classes: nu, rep, norm_re, norm_im.
 
-
-def primes_csv(primes) -> str:
-    """CSV table of prime classes: nu, rep, norm_re, norm_im."""
+    rep is the closed vertex path of the class, e.g. 1->2->1.
+    """
     lines = ["nu,rep,norm_re,norm_im"]
-    for p in primes:
-        lines.append(f"{p.nu},{walk_vertices(p.rep)},{p.edge_norm.real!r},{p.edge_norm.imag!r}")
+    for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
+        for word, re, im in zip(words.tolist(), norms.real.tolist(), norms.imag.tolist()):
+            lines.append(f"{nu},{'->'.join(map(str, word + word[:1]))},{re!r},{im!r}")
     return "\n".join(lines) + "\n"

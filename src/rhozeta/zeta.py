@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from math import exp, inf, isfinite, log
 from operator import mul
 
+import numpy as np
+
 from .errors import (
     AtSingularity,
     IncompletePrimes,
     InsufficientPowerSums,
     NonRealCoefficient,
 )
-from .graph import PRIME_LENGTH_CAP
+from .graph import PRIME_LENGTH_CAP, PrimeClasses, complex_product
 from .linalg import ZERO_EIGENVALUE_TOL, DensityMatrix, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
@@ -110,16 +112,23 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
     return ZetaSeries(tuple(c))
 
 
-def euler_product_coeffs(primes, order: int) -> ZetaSeries:
+def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     """Expand the Euler product over prime classes as a truncated series.
 
     Each class multiplies the series by 1/(1 - norm * u^nu), applied in
     place as the ascending recurrence c[a] += norm * c[a - nu] for
-    a = nu..order; classes longer than the order leave it unchanged.  The
-    route shares no code with series_coeffs.  The prime list must be
-    complete up to that length, so the order may not exceed the
-    enumeration cap.  Coefficients must come out real (imaginary residue
-    below 1e-9), and the imaginary parts are dropped after the check.
+    a = nu..order, class by class in (nu, rep) order; classes longer than
+    the order leave it unchanged.  Lengths with 2*nu <= order run that loop
+    on Python complex numbers.  For 2*nu > order every index read,
+    a - nu, lies below nu, where no class of that length writes, so each
+    c[a] is its start value plus one product per class.  Those products are
+    formed at once with complex_product, which rounds as Python's complex
+    multiply, and added with np.add.accumulate, which sums left to right as
+    the loop does; so the result is the loop's, bit for bit.  The route
+    shares no code with series_coeffs.  The classes must be complete up to
+    that length, so the order may not exceed the enumeration cap.
+    Coefficients must come out real (imaginary residue below 1e-9), and the
+    imaginary parts are dropped after the check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -129,9 +138,19 @@ def euler_product_coeffs(primes, order: int) -> ZetaSeries:
         )
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1 + 0j
-    for prime in primes:
-        for a in range(prime.nu, order + 1):
-            coeffs[a] += prime.edge_norm * coeffs[a - prime.nu]
+    for nu, norms in enumerate(primes.norms[:order], start=1):
+        if 2 * nu <= order:
+            for norm in norms.tolist():
+                for a in range(nu, order + 1):
+                    coeffs[a] += norm * coeffs[a - nu]
+            continue
+        terms = np.empty((len(norms) + 1, order + 1 - nu), dtype=complex)
+        terms[0] = coeffs[nu:]
+        terms[1:] = complex_product(norms[:, None], coeffs[:order + 1 - nu])
+        total = np.empty(order + 1 - nu, dtype=complex)
+        total.real = np.add.accumulate(terms.real)[-1]
+        total.imag = np.add.accumulate(terms.imag)[-1]
+        coeffs[nu:] = total.tolist()
     worst = max(abs(c.imag) for c in coeffs)
     if worst > _IMAG_TOL:
         raise NonRealCoefficient(f"imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.1e}")

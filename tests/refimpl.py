@@ -13,6 +13,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from rhozeta.graph import PrimeClass
 from rhozeta.quantum import _digits, check_copy_caps
 
 _PROJECTOR_IDEMPOTENT_TOL = 1e-10
@@ -160,3 +161,66 @@ def series_coeffs_generator(power_sums, order: int) -> tuple:
     for n in range(1, order + 1):
         c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
     return tuple(c)
+
+
+def enumerate_primes_recursive(g, length_cap: int) -> list:
+    """Prime classes of g up to length_cap, by Ruskey's recursive generator.
+
+    One call of gen(t, p, norm) per prenecklace, depth first, one
+    PrimeClass per class, each norm a product of Python complex numbers
+    from 1 + 0j.  Returns the classes sorted by (nu, rep).  No caps are
+    checked; callers keep the graph small.
+    """
+    out_edges = {v: {} for v in range(1, g.n_vertices + 1)}
+    for edge, weight in g.weights.items():
+        out_edges[edge[0]][edge[1]] = (edge, weight)
+    by_length = [[] for _ in range(length_cap + 1)]
+    word, walk = [], []
+
+    def gen(t, p, norm):
+        # word holds t vertices with period p; walk holds its t - 1 edges,
+        # whose weights multiply to norm
+        if p == t and word[0] in out_edges[word[-1]]:
+            edge, weight = out_edges[word[-1]][word[0]]
+            by_length[t].append(PrimeClass(rep=(*walk, edge), nu=t, edge_norm=norm * weight))
+        if t == length_cap:
+            return
+        floor = word[t - p]
+        for nxt, (edge, weight) in out_edges[word[-1]].items():
+            if nxt < floor:
+                continue
+            word.append(nxt)
+            walk.append(edge)
+            gen(t + 1, p if nxt == floor else t + 1, norm * weight)
+            word.pop()
+            walk.pop()
+
+    for start in range(1, g.n_vertices + 1):
+        word.append(start)
+        gen(1, 1, 1.0 + 0.0j)
+        word.pop()
+    del gen
+    return [prime for bucket in by_length for prime in bucket]
+
+
+def euler_product_loop(primes, order: int) -> list:
+    """Complex c_0..c_order of the Euler product, one in-place recurrence per class.
+
+    c[a] += norm * c[a - nu] for a = nu..order, class by class in the
+    order given; no reality check.
+    """
+    coeffs = [0j] * (order + 1)
+    coeffs[0] = 1 + 0j
+    for prime in primes:
+        for a in range(prime.nu, order + 1):
+            coeffs[a] += prime.edge_norm * coeffs[a - prime.nu]
+    return coeffs
+
+
+def primes_csv_rows(primes) -> str:
+    """CSV table of prime classes, one row formatted from each PrimeClass."""
+    lines = ["nu,rep,norm_re,norm_im"]
+    for p in primes:
+        verts = [str(p.rep[0][0])] + [str(edge[1]) for edge in p.rep]
+        lines.append(f"{p.nu},{'->'.join(verts)},{p.edge_norm.real!r},{p.edge_norm.imag!r}")
+    return "\n".join(lines) + "\n"

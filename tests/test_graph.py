@@ -7,19 +7,22 @@ import re
 import numpy as np
 import pytest
 
-from rhozeta import graph
+from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows
+from rhozeta import graph, zeta
 from rhozeta.errors import AllLoops, CapExceeded
 from rhozeta.graph import (
     LaplacianWeights,
+    PrimeClasses,
     WeightedDigraph,
+    complex_product,
     density_from_weighted_graph,
     enumerate_primes,
     export_dot,
     graph_from_density,
     primes_csv,
-    walk_vertices,
 )
 from rhozeta.linalg import random_density, validate_density
+from rhozeta.quantum import BUILTIN_STATES, builtin_state
 
 PLUS = validate_density(np.array([[1, 1], [1, 1]]) / 2)
 MAXMIXED2 = validate_density(np.eye(2) / 2)
@@ -202,21 +205,22 @@ def random_sparse_digraph(seed):
     return WeightedDigraph(n, [(i + 1, j + 1, complex(*rng.normal(size=2))) for i, j in zip(rows, cols)])
 
 
+def mobius(m):
+    out, x, f = 1, m, 2
+    while f * f <= x:
+        if x % f == 0:
+            x //= f
+            if x % f == 0:
+                return 0
+            out = -out
+        f += 1
+    return -out if x > 1 else out
+
+
 def test_prime_count_matches_necklace_census():
     """Against an independent count: closed walks of length m number tr(A^m)
     for the 0/1 adjacency matrix A (n^m for the complete digraph with loops);
     Moebius counting over divisors gives the primitive classes."""
-    def mobius(m):
-        out, x, f = 1, m, 2
-        while f * f <= x:
-            if x % f == 0:
-                x //= f
-                if x % f == 0:
-                    return 0
-                out = -out
-            f += 1
-        return -out if x > 1 else out
-
     n = 3
     graphs = [graph_from_density(validate_density(np.full((n, n), 1 / n)))]
     graphs += [random_sparse_digraph(seed) for seed in range(6)]
@@ -234,6 +238,110 @@ def test_prime_count_matches_necklace_census():
                 if m % d == 0
             )
             assert by_len.get(m, 0) == divisor_sum // m, (g, m)
+
+
+def test_large_frontier_counts_lyndon_words():
+    """A complete graph with loops on 6 vertices at L = 8 takes about 2.6e6
+    search steps; each length nu has (1/nu) sum_{d | nu} mu(d) 6^(nu/d)
+    classes, the Lyndon words of length nu over 6 letters."""
+    g = graph_from_density(random_density(6, 1))
+    assert g.n_edges == 36 and graph._search_steps(g, 8) > 2.5e6
+    primes = enumerate_primes(g, 8)
+    counts = [len(norms) for norms in primes.norms]
+    lyndon = [sum(mobius(d) * 6 ** (nu // d) for d in range(1, nu + 1) if nu % d == 0) // nu
+              for nu in range(1, 9)]
+    assert counts == lyndon
+    assert len(primes) == sum(lyndon) == 259_475
+
+
+def cycle_chord_laplacian(seed):
+    """Laplacian state of an n-cycle with chords, random magnitudes and phases."""
+    rng = np.random.default_rng(seed)
+    n = 6 + seed % 7
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+    pairs += [(i, (i + n // 2 - 1) % n + 1) for i in range(1, n + 1, 3)]
+    weights = {}
+    for i, j in pairs:
+        if i != j and (i, j) not in weights:
+            mag = rng.uniform(0.5, 1.5)
+            weights[(i, j)] = mag * np.exp(2j * np.pi * rng.uniform())
+            weights[(j, i)] = mag * np.exp(2j * np.pi * rng.uniform())
+    return density_from_weighted_graph(LaplacianWeights(n, weights))
+
+
+#: Graphs the array search and the Euler expansion are compared on, with the
+#: recursive generator and the per-class loop of tests/refimpl.py as reference.
+REFERENCE_GRAPHS = {
+    "builtin": lambda: [graph_from_density(builtin_state(name)) for name in BUILTIN_STATES],
+    "dense": lambda: [graph_from_density(random_density(d, s)) for d in range(1, 7) for s in range(3)],
+    "sparse": lambda: [random_sparse_digraph(seed) for seed in range(12)],
+    "laplacian": lambda: [graph_from_density(cycle_chord_laplacian(seed)) for seed in range(7)],
+}
+
+
+def reference_length(g):
+    """The longest cap up to 14 whose search stays small enough to run the reference."""
+    return max(cap for cap in range(1, graph.PRIME_LENGTH_CAP + 1) if graph._search_steps(g, cap) <= 20_000)
+
+
+def hex_classes(primes):
+    return [(p.nu, p.rep, p.edge_norm.real.hex(), p.edge_norm.imag.hex()) for p in primes]
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
+def test_enumeration_matches_recursive_generator(family):
+    for g in REFERENCE_GRAPHS[family]():
+        length_cap = reference_length(g)
+        primes = enumerate_primes(g, length_cap)
+        assert hex_classes(primes) == hex_classes(enumerate_primes_recursive(g, length_cap)), g
+        assert primes_csv(primes).splitlines() == primes_csv_rows(primes).splitlines(), g
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
+def test_euler_matches_per_class_loop(family, monkeypatch):
+    # the sparse digraphs are not Hermitian; lifting the reality check lets
+    # their coefficients be compared too, and an error in an imaginary part
+    # reaches the real parts at higher orders
+    monkeypatch.setattr(zeta, "_IMAG_TOL", math.inf)
+    for g in REFERENCE_GRAPHS[family]():
+        length_cap = reference_length(g)
+        primes = enumerate_primes(g, length_cap)
+        reference = enumerate_primes_recursive(g, length_cap)
+        for order in range(1, length_cap + 1):
+            coeffs = zeta.euler_product_coeffs(primes, order).coeffs
+            expected = euler_product_loop(reference, order)
+            assert [c.hex() for c in coeffs] == [c.real.hex() for c in expected], (g, order)
+
+
+def test_complex_product_matches_python_bit_for_bit():
+    """10^5 pairs mixing wide exponents, signed zeros, real-only and
+    subnormal parts against CPython's complex multiply."""
+    rng = np.random.default_rng(2024)
+    size = 100_000
+    parts = rng.standard_normal((4, size)) * 10.0 ** rng.integers(-150, 150, (4, size))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320, 1.0, -1.0])
+    pick = rng.random((4, size)) < 0.1
+    parts[pick] = rng.choice(special, pick.sum())
+    parts[1, rng.random(size) < 0.1] = 0.0  # real-only a
+    parts[3, rng.random(size) < 0.1] = 0.0  # real-only b
+    a, b = np.empty((2, size), dtype=complex)
+    a.real, a.imag, b.real, b.imag = parts
+    got = complex_product(a, b)
+    want = [x * y for x, y in zip(a.tolist(), b.tolist())]
+    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
+        [(z.real.hex(), z.imag.hex()) for z in want]
+
+
+def test_prime_classes_sequence_access():
+    primes = enumerate_primes(graph_from_density(PLUS), 3)
+    listed = list(primes)
+    assert len(primes) == len(listed) == 5
+    assert [primes[i] for i in range(-5, 5)] == listed + listed
+    assert primes[1:4] == listed[1:4]
+    with pytest.raises(IndexError):
+        primes[5]
+    empty = PrimeClasses((), ())
+    assert len(empty) == 0 and list(empty) == []
 
 
 # -- DOT export -------------------------------------------------------------------
@@ -293,8 +401,3 @@ def test_primes_csv_layout():
     assert len(lines) == 4
     assert lines[1].startswith("1,1->1,")
     assert lines[3].startswith("2,1->2->1,")
-
-
-def test_walk_vertices_rendering():
-    assert walk_vertices(((1, 2), (2, 1))) == "1->2->1"
-    assert walk_vertices(((3, 3),)) == "3->3"

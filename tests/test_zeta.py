@@ -11,7 +11,7 @@ from rhozeta.errors import (
     IncompletePrimes,
     InsufficientPowerSums,
 )
-from rhozeta.graph import enumerate_primes, graph_from_density
+from rhozeta.graph import PrimeClasses, enumerate_primes, graph_from_density
 from rhozeta.linalg import partial_trace, random_density, trace_powers, validate_density
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
@@ -125,17 +125,23 @@ def test_euler_maximally_mixed():
     assert euler_product_coeffs(primes, 2).coeffs == (1.0, 1.0, 0.75)
 
 
+def classes_of_length(nu, words, norms):
+    """PrimeClasses holding the given classes, all of length nu, and none shorter."""
+    words = [np.empty((0, k), dtype=np.uint8) for k in range(1, nu)] + [np.array(words, dtype=np.uint8)]
+    norms = [np.empty(0, dtype=complex)] * (nu - 1) + [np.array(norms, dtype=complex)]
+    return PrimeClasses(words, norms)
+
+
 def test_euler_empty_graph():
-    assert euler_product_coeffs([], 3).coeffs == (1.0, 0.0, 0.0, 0.0)
+    assert euler_product_coeffs(PrimeClasses((), ()), 3).coeffs == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_euler_single_prime_strides_exactly():
     # 1/(1 - 0.5 u^3) to order 7; a descending or wrongly strided loop
     # puts mass elsewhere or misses the 0.25 at u^6
-    from rhozeta.graph import PrimeClass
-
-    triangle = PrimeClass(rep=((1, 2), (2, 3), (3, 1)), nu=3, edge_norm=0.5 + 0j)
-    assert euler_product_coeffs([triangle], 7).coeffs == (1, 0, 0, 0.5, 0, 0, 0.25, 0)
+    triangle = classes_of_length(3, [[1, 2, 3]], [0.5 + 0j])
+    assert triangle[0].rep == ((1, 2), (2, 3), (3, 1))
+    assert euler_product_coeffs(triangle, 7).coeffs == (1, 0, 0, 0.5, 0, 0, 0.25, 0)
 
 
 def test_euler_rejects_order_beyond_cap():
@@ -145,11 +151,11 @@ def test_euler_rejects_order_beyond_cap():
 
 def test_euler_rejects_imaginary_residue():
     from rhozeta.errors import NonRealCoefficient
-    from rhozeta.graph import PrimeClass
 
-    lone = PrimeClass(rep=((1, 1),), nu=1, edge_norm=1j)
+    lone = classes_of_length(1, [[1]], [1j])
+    assert lone[0].rep == ((1, 1),)
     with pytest.raises(NonRealCoefficient):
-        euler_product_coeffs([lone], 2)
+        euler_product_coeffs(lone, 2)
 
 
 # -- zeta_eval ----------------------------------------------------------------------
