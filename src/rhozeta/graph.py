@@ -312,8 +312,11 @@ def primes_csv(primes: PrimeClasses) -> str:
 
     rep is the closed vertex path of the class, e.g. 1->2->1.
     """
+    top = max((int(w.max()) for w in primes.words if w.size), default=0)
+    label = [str(v) for v in range(top + 1)]
     lines = ["nu,rep,norm_re,norm_im"]
     for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
         for word, re, im in zip(words.tolist(), norms.real.tolist(), norms.imag.tolist()):
-            lines.append(f"{nu},{'->'.join(map(str, word + word[:1]))},{re!r},{im!r}")
+            path = "->".join([label[v] for v in word])
+            lines.append(f"{nu},{path}->{label[word[0]]},{re!r},{im!r}")
     return "\n".join(lines) + "\n"

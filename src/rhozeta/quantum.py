@@ -1,16 +1,17 @@
 """Reference states, the registry of named states, and the brute-force copy-symmetry test.
 
 acceptance_probability evaluates the k-copy symmetric-subspace measurement
-by brute force over basis tuples: tr[P_sym rho^{(x)k}] is
-(1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m], one permutation at a
-time by index gather over the base-d digit table, so neither the
-d^k x d^k projector nor the Kronecker power is ever formed.  It is
-deliberately independent of the series machinery in zeta.py so the two
-can cross-check each other.
+tr[P_sym rho^{(x)k}] by brute force over a basis of the symmetric
+subspace: one occupation-number basis vector per multiset alpha of k basis
+indices, whose diagonal entry of rho^{(x)k} is perm(rho[alpha, alpha]) /
+alpha! (Aaronson & Arkhipov, Theory of Computing 9, 2013, section 3).
+Neither the d^k x d^k projector nor the Kronecker power is ever formed.
+It is deliberately independent of the series machinery in zeta.py so the
+two can cross-check each other.
 """
 
-from itertools import permutations
-from math import factorial, sqrt
+from itertools import chain, combinations_with_replacement
+from math import sqrt
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import CapExceeded, InvalidParameter
 from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace, random_density, validate_density
 
 #: Hard caps on the copy count and on d^k.  They bound the acceptance
-#: oracle's O(k! k d^k) gather.
+#: oracle's O(C(d+k-1, k) k 2^k) permanent sum.
 MAX_COPIES = 5
 MAX_PROJECTOR_DIM = 4096
 
@@ -135,24 +136,41 @@ def check_copy_caps(d: int, k: int) -> int:
     return n
 
 
-def _digits(d: int, k: int) -> np.ndarray:
-    """Base-d digit table of 0..d^k-1, most significant digit first."""
-    return np.stack(np.unravel_index(np.arange(d ** k), (d,) * k), axis=1)
-
-
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     """Acceptance probability of the k-copy symmetry test on rho.
 
-    Brute force over the d^k basis tuples i = (i_0, ..., i_{k-1}):
-    (1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m], which is the trace
-    of the symmetric projector against rho tensored with itself k times.
-    Each permutation gathers a d^k x k table of entries, so the cost is
-    O(k! k d^k) time and O(k d^k) memory.
+    The trace of the symmetric projector against rho tensored with itself
+    k times is (1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m] over the
+    d^k basis tuples i.  The inner sum over sigma is the permanent of
+    rho[i, i], which does not change when i is reordered, and each
+    multiset alpha (a sorted tuple) stands for k!/alpha! tuples, alpha!
+    being the product of the factorials of its multiplicities.  So the
+    value is sum_alpha perm(rho[alpha, alpha]) / alpha! over the
+    C(d+k-1, k) multisets.  alpha! is the product, over the sorted entries,
+    of each entry's position within its run of equal entries.
+
+    The permanents are computed for every multiset at once by a subset
+    recurrence over rows, with columns taken in order: P[{}] = 1 and
+    P[S] = sum_{a in S} P[S - {a}] rho[alpha_a, alpha_{|S|-1}], one vector
+    multiply-add per (S, a) pair, k 2^(k-1) of them.  It has no
+    subtractions, unlike Ryser's formula, so nothing cancels.  The cost is
+    O(C(d+k-1, k) k 2^k) time and O(C(d+k-1, k) 2^k) memory.
     """
     check_copy_caps(rho.dim, k)
-    digits = _digits(rho.dim, k)
-    total = 0j
-    for perm in permutations(range(k)):
-        total += np.prod(rho.matrix[digits[:, perm], digits], axis=1).sum()
-    return float(total.real) / factorial(k)
-
+    flat = chain.from_iterable(combinations_with_replacement(range(rho.dim), k))
+    idx = np.fromiter(flat, dtype=np.intp).reshape(-1, k).T
+    entry = rho.matrix[idx[:, None, :], idx[None, :, :]]  # entry[a, b] = rho[alpha_a, alpha_b]
+    weight = np.ones(idx.shape[1])
+    run = np.ones(idx.shape[1])
+    for m in range(1, k):
+        run = np.where(idx[m] == idx[m - 1], run + 1.0, 1.0)
+        weight *= run
+    perm = [np.ones(idx.shape[1], dtype=complex)]
+    for rows in range(1, 1 << k):
+        column = entry[:, rows.bit_count() - 1]
+        first, *rest = (a for a in range(k) if rows >> a & 1)
+        total = perm[rows ^ 1 << first] * column[first]
+        for a in rest:
+            total += perm[rows ^ 1 << a] * column[a]
+        perm.append(total)
+    return float((perm[-1] / weight).sum().real)

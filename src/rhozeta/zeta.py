@@ -91,25 +91,35 @@ class SeparabilityVerdict:
         return f"entangled by {self.method}: u={self.value!r}{note}"
 
 
+def _newton_coeffs(p):
+    """Yield c_1, c_2, ..., c_len(p) from the power sums p, a sequence of floats.
+
+    c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}.  The sum pairs p
+    with the coefficients so far in reverse and adds the products in order
+    of m with the builtin sum, so each c_n is the same float whatever the
+    length of p, and a consumer that stops early has paid only for the
+    coefficients it read.
+    """
+    c = [1.0]
+    for n in range(1, len(p) + 1):
+        c.append(sum(map(mul, p, reversed(c))) / n)
+        yield c[n]
+
+
 def series_coeffs(power_sums, order: int) -> ZetaSeries:
     """Series coefficients from power sums by the Newton-type recurrence.
 
     c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}, which is the
     expansion of exp(sum_m p_m u^m / m) and, term for term, the cycle
-    index of the symmetric group at x_m = p_m.  The sum pairs p with the
-    coefficients so far in reverse and adds the products in order of m
-    with the builtin sum, so each c_n is the same float whatever the
-    length of power_sums.
+    index of the symmetric group at x_m = p_m.  The recurrence is the one
+    in _newton_coeffs, which is_separable_by_coeffs also reads.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     p = [float(v) for v in power_sums]
     if len(p) < order:
         raise InsufficientPowerSums(f"need {order} power sums, got {len(p)}")
-    c = [1.0]
-    for n in range(1, order + 1):
-        c.append(sum(map(mul, p, reversed(c))) / n)
-    return ZetaSeries(tuple(c))
+    return ZetaSeries((1.0, *_newton_coeffs(p[:order])))
 
 
 def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
@@ -210,23 +220,24 @@ def is_separable_by_coeffs(
 ) -> SeparabilityVerdict:
     """Coefficient criterion: separable iff every series coefficient is one.
 
-    Checks n = 1..order; n = 2 alone is decisive in exact arithmetic (it
-    measures purity), larger orders serve as diagnostics.  rho_b must be
-    the reduced state of a pure bipartite state for the verdict to mean
-    separability; pass pure_bipartite=True to clear the caveat flag.
+    Checks n = 1..order and returns at the first coefficient away from
+    one, so the recurrence runs no further than that n; n = 2 alone is
+    decisive in exact arithmetic (it measures purity), larger orders serve
+    as diagnostics.  rho_b must be the reduced state of a pure bipartite
+    state for the verdict to mean separability; pass pure_bipartite=True
+    to clear the caveat flag.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     if not 0 < tol < inf:
         raise ValueError("tol must be finite and positive")
-    series = series_coeffs(trace_powers(rho_b, order), order)
-    for n in range(1, order + 1):
-        if abs(series[n] - 1.0) > tol:
+    for n, c_n in enumerate(_newton_coeffs(trace_powers(rho_b, order)), start=1):
+        if abs(c_n - 1.0) > tol:
             return SeparabilityVerdict(
                 separable=False,
                 method="coefficients",
                 failing_n=n,
-                value=series[n],
+                value=c_n,
                 caveat=not pure_bipartite,
             )
     return SeparabilityVerdict(separable=True, method="coefficients", caveat=not pure_bipartite)

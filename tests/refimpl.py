@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the package against.
 
-None of these is on a path the CLI runs: the dense symmetric projector and
-permutation operators check the acceptance gather, the partition-sum cycle
-index checks the series recurrence, the one-product-at-a-time power sums
-and the generator form of the recurrence pin the bits of trace_powers and
-series_coeffs, and seeded Haar unitaries drive the basis-invariance
-checks.  The copy caps come from rhozeta.quantum, so they keep one home.
+None of these is on a path the CLI runs: the per-permutation gather, the
+dense symmetric projector and permutation operators check the acceptance
+oracle's permanent sum, the partition-sum cycle index checks the series
+recurrence, the one-product-at-a-time power sums and the generator form of
+the recurrence pin the bits of trace_powers and series_coeffs, and seeded
+Haar unitaries drive the basis-invariance checks.  The copy caps come from
+rhozeta.quantum, so they keep one home.
 """
 
 from itertools import permutations
@@ -14,11 +15,32 @@ from math import comb, factorial
 import numpy as np
 
 from rhozeta.graph import PrimeClass
-from rhozeta.quantum import _digits, check_copy_caps
+from rhozeta.quantum import check_copy_caps
 
 _PROJECTOR_IDEMPOTENT_TOL = 1e-10
 _PROJECTOR_HERMITIAN_TOL = 1e-12
 _PROJECTOR_TRACE_TOL = 1e-8
+
+
+def _digits(d: int, k: int) -> np.ndarray:
+    """Base-d digit table of 0..d^k-1, most significant digit first."""
+    return np.stack(np.unravel_index(np.arange(d ** k), (d,) * k), axis=1)
+
+
+def acceptance_gather(rho, k: int) -> float:
+    """Acceptance probability of the k-copy symmetry test, one permutation at a time.
+
+    Brute force over the d^k basis tuples i = (i_0, ..., i_{k-1}):
+    (1/k!) sum_sigma sum_i prod_m rho[i_sigma(m), i_m], each permutation
+    gathering a d^k x k table of entries from the digit table, so the cost
+    is O(k! k d^k) time and O(k d^k) memory.
+    """
+    check_copy_caps(rho.dim, k)
+    digits = _digits(rho.dim, k)
+    total = 0j
+    for perm in permutations(range(k)):
+        total += np.prod(rho.matrix[digits[:, perm], digits], axis=1).sum()
+    return float(total.real) / factorial(k)
 
 
 def _permuted_indices(digits: np.ndarray, d: int, perm) -> np.ndarray:

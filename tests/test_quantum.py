@@ -6,10 +6,20 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from refimpl import permutation_operator, symmetric_projector
+from refimpl import acceptance_gather, permutation_operator, symmetric_projector
 from rhozeta.errors import CapExceeded, InvalidParameter
-from rhozeta.linalg import partial_trace, random_density, trace_powers, validate_density
+from rhozeta.linalg import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    partial_trace,
+    random_density,
+    trace_powers,
+    validate_density,
+)
 from rhozeta.quantum import (
+    BUILTIN_STATES,
+    MAX_COPIES,
+    MAX_PROJECTOR_DIM,
     PureState,
     acceptance_probability,
     bell_state,
@@ -178,6 +188,44 @@ def test_acceptance_matches_dense_projector():
             dense = np.trace(symmetric_projector(rho.dim, k) @ power).real
             assert abs(acceptance_probability(rho, k) - dense) <= 1e-12, (rho.dim, k)
             power = np.kron(power, rho.matrix)
+
+
+def _diagonal_state(weights) -> DensityMatrix:
+    """Diagonal density matrix, its spectrum the sorted weights.
+
+    Built without validate_density, whose eigensolve would dominate at the
+    4096-dimensional cap; a nonnegative diagonal summing to one needs none.
+    """
+    weights = np.asarray(weights, dtype=float)
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) < 1e-12
+    return DensityMatrix(np.diag(weights.astype(complex)), DEFAULT_TOL, np.sort(weights))
+
+
+def _max_copies(d):
+    return max(k for k in range(1, MAX_COPIES + 1) if d ** k <= MAX_PROJECTOR_DIM)
+
+
+def _max_dim(k):
+    return max(d for d in range(1, MAX_PROJECTOR_DIM + 1) if d ** k <= MAX_PROJECTOR_DIM)
+
+
+def test_acceptance_matches_gather():
+    states = [random_density(d, 800 + d) for d in range(1, 10)]
+    states += [builtin_state(name) for name in BUILTIN_STATES]
+    cases = [(rho, k) for rho in states for k in range(1, _max_copies(rho.dim) + 1)]
+    cases += [(random_density(16, 816), 3), (random_density(64, 864), 2)]
+    cases += [(_diagonal_state(np.random.default_rng(4096).dirichlet(np.ones(4096))), 1)]
+    for rho, k in cases:
+        assert abs(acceptance_probability(rho, k) - acceptance_gather(rho, k)) <= 1e-14, (rho.dim, k)
+
+
+def test_acceptance_maximally_mixed_is_symmetric_dimension():
+    # tr[P_sym (I/d)^{(x)k}] = C(d+k-1, k) / d^k: every multiset counted once
+    cases = {(d, k) for d in range(1, 6) for k in range(1, MAX_COPIES + 1)}
+    cases |= {(_max_dim(k), k) for k in range(1, MAX_COPIES + 1)}
+    for d, k in sorted(cases):
+        rho = _diagonal_state(np.full(d, 1.0 / d)) if d > 64 else validate_density(np.eye(d) / d)
+        assert abs(acceptance_probability(rho, k) - math.comb(d + k - 1, k) / d ** k) <= 1e-12, (d, k)
 
 
 def test_acceptance_monotone_in_copies():
