@@ -1,7 +1,9 @@
 """Weighted digraphs of density matrices and their prime path classes.
 
 A density matrix maps to a directed graph with one vertex per basis index
-(labeled 1..n) and one weighted edge per nonzero entry, loops included.
+(labeled 1..n) and one weighted edge per nonzero entry, loops included:
+its weighted adjacency matrix is the density matrix itself, which is how
+WeightedDigraph stores it, and every reader takes edges from that matrix.
 The primes of such a graph are equivalence classes, under cyclic rotation,
 of primitive closed walks; walks may revisit vertices and edges, and the
 directed edges (i, j) and (j, i) are independent (no backtracking
@@ -10,22 +12,19 @@ rotation of its edge sequence, edges ordered by (origin, terminus); its
 vertex sequence is a Lyndon word, and enumerate_primes generates each such
 word once, by a breadth-first prenecklace search over numpy arrays, one
 step per length.  It returns PrimeClasses: per-length arrays of words and
-edge norms, read as a sequence of PrimeClass items.  complex_product
+edge norms, iterated as PrimeClass items.  complex_product
 multiplies norms as Python's complex multiply does, bit for bit, so the
 array search and the Euler expansion give the same floats as a loop over
 Python numbers.
 """
 
 import math
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import AllLoops, CapExceeded
-from .linalg import DEFAULT_TOL, DensityMatrix, validate_density
+from .linalg import DEFAULT_TOL, DensityMatrix, as_square_matrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
@@ -40,29 +39,22 @@ DEFAULT_ZERO_TOL = 1e-12
 class WeightedDigraph:
     """Directed graph with complex edge weights and vertices labeled 1..n.
 
-    At most one edge per ordered vertex pair; loops allowed; every stored
-    weight is nonzero.
+    Stored as its n x n weight matrix, read-only: weights[i - 1, j - 1] is
+    the weight of edge (i, j), and zero means no edge.  Loops allowed.
     """
 
-    def __init__(self, n_vertices: int, edges):
-        if n_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
-        weights = {}
-        for origin, terminus, weight in edges:
-            if not (1 <= origin <= n_vertices and 1 <= terminus <= n_vertices):
-                raise ValueError(f"edge ({origin}, {terminus}) outside vertex range 1..{n_vertices}")
-            if (origin, terminus) in weights:
-                raise ValueError(f"duplicate edge ({origin}, {terminus})")
-            w = complex(weight)
-            if w == 0 or not (np.isfinite(w.real) and np.isfinite(w.imag)):
-                raise ValueError(f"edge ({origin}, {terminus}) weight must be nonzero and finite")
-            weights[(origin, terminus)] = w
-        self.n_vertices = n_vertices
-        self.weights = dict(sorted(weights.items()))
+    def __init__(self, weights):
+        weights = as_square_matrix(weights).copy()
+        weights.flags.writeable = False
+        self.weights = weights
+
+    @property
+    def n_vertices(self) -> int:
+        return self.weights.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return len(self.weights)
+        return int(np.count_nonzero(self.weights))
 
     def __repr__(self):
         return f"WeightedDigraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
@@ -85,9 +77,10 @@ class PrimeClass:
 class LaplacianWeights:
     """Magnitude-symmetric weight function for the Laplacian construction.
 
-    Holds n_vertices and a mapping (i, j) -> complex weight in which
-    |w[i, j]| and |w[j, i]| agree (within 1e-12 relative; only magnitudes
-    enter the Laplacian, so phases are unconstrained).
+    Built from n_vertices and a mapping (i, j) -> complex weight in which
+    |w[i, j]| and |w[j, i]| agree (within 1e-12 relative; a missing weight
+    has magnitude 0).  Only magnitudes enter the Laplacian, so phases are
+    unconstrained and only the n x n magnitude matrix is kept.
     """
 
     _MAG_RTOL = 1e-12
@@ -95,22 +88,17 @@ class LaplacianWeights:
     def __init__(self, n_vertices: int, weights: dict):
         if n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        clean = {}
+        magnitudes = np.zeros((n_vertices, n_vertices))
         for (i, j), w in weights.items():
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices):
                 raise ValueError(f"weight index ({i}, {j}) outside vertex range")
-            w = complex(w)
-            if w == 0:
-                continue
-            clean[(i, j)] = w
-        for (i, j), w in clean.items():
-            partner = clean.get((j, i))
-            if partner is None:
-                raise ValueError(f"missing reverse weight for ({i}, {j})")
-            if abs(abs(w) - abs(partner)) > self._MAG_RTOL * abs(w):
-                raise ValueError(f"|w[{i},{j}]| != |w[{j},{i}]|")
-        self.n_vertices = n_vertices
-        self.weights = dict(sorted(clean.items()))
+            magnitudes[i - 1, j - 1] = abs(complex(w))
+        asymmetric = np.argwhere(np.abs(magnitudes - magnitudes.T) > self._MAG_RTOL * magnitudes)
+        if len(asymmetric):
+            i, j = asymmetric[0] + 1
+            raise ValueError(f"|w[{i},{j}]| != |w[{j},{i}]|")
+        magnitudes.flags.writeable = False
+        self.magnitudes = magnitudes
 
 
 def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> WeightedDigraph:
@@ -123,9 +111,7 @@ def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -
     if not 0 <= zero_tol < math.inf:
         raise ValueError("zero_tol must be finite and nonnegative")
     a = rho.matrix
-    rows, cols = np.nonzero(np.abs(a) > zero_tol)
-    edges = [(i + 1, j + 1, a[i, j]) for i, j in zip(rows.tolist(), cols.tolist())]
-    return WeightedDigraph(rho.dim, edges)
+    return WeightedDigraph(np.where(np.abs(a) > zero_tol, a, 0))
 
 
 def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -> DensityMatrix:
@@ -135,10 +121,7 @@ def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -
     Laplacian (degree matrix minus adjacency) is normalized by its trace.
     Magnitude symmetry makes the result positive semi-definite.
     """
-    n = g.n_vertices
-    adjacency = np.zeros((n, n))
-    for (i, j), w in g.weights.items():
-        adjacency[i - 1, j - 1] = abs(w)
+    adjacency = g.magnitudes
     degrees = adjacency.sum(axis=1)
     laplacian = np.diag(degrees) - adjacency
     lap_trace = float(np.trace(laplacian))
@@ -154,10 +137,8 @@ def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
 
     Counted with the 0/1 adjacency matrix in float64, exact below 2**53.
     """
+    adjacency = (g.weights != 0).astype(float)
     n = g.n_vertices
-    adjacency = np.zeros((n, n))
-    for i, j in g.weights:
-        adjacency[i - 1, j - 1] = 1.0
     total = 0.0
     for s in range(n):
         sub = adjacency[s:, s:]
@@ -184,39 +165,27 @@ def complex_product(a, b) -> np.ndarray:
     return out
 
 
-class PrimeClasses(Sequence):
+class PrimeClasses:
     """Prime classes of lengths 1..len(words), sorted by (nu, rep).
 
     words[nu - 1] is a (count, nu) array whose rows are the Lyndon vertex
     words of the classes of length nu, ascending, and norms[nu - 1] holds
-    their complex edge norms.  A read-only sequence of PrimeClass: each item
-    is built from its row only when it is read.
+    their complex edge norms.  Iteration yields PrimeClass items, each built
+    from its row only when it is reached.
     """
 
     def __init__(self, words, norms):
         self.words = tuple(words)
         self.norms = tuple(norms)
-        self._ends = list(accumulate(len(x) for x in self.norms))
 
     def __len__(self):
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        k = bisect_right(self._ends, i)
-        row = i - (self._ends[k - 1] if k else 0)
-        return _prime_class(self.words[k][row].tolist(), self.norms[k][row].item())
+        return sum(len(x) for x in self.norms)
 
     def __iter__(self):
         for words, norms in zip(self.words, self.norms):
             for word, norm in zip(words.tolist(), norms.tolist()):
-                yield _prime_class(word, norm)
-
-
-def _prime_class(word, norm) -> PrimeClass:
-    return PrimeClass(rep=tuple(zip(word, word[1:] + word[:1])), nu=len(word), edge_norm=norm)
+                rep = tuple(zip(word, word[1:] + word[:1]))
+                yield PrimeClass(rep=rep, nu=len(word), edge_norm=norm)
 
 
 def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
@@ -254,11 +223,11 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
         )
     n = g.n_vertices
     letter = np.min_scalar_type(n)
-    edges = np.array(list(g.weights), dtype=np.intp).reshape(-1, 2)
-    weights = np.array(list(g.weights.values()), dtype=complex)
-    termini = edges[:, 1].astype(letter)
+    origin, terminus = np.nonzero(g.weights)
+    weights = g.weights[origin, terminus]
+    termini = (terminus + 1).astype(letter)
     # a sentinel above every key keeps each searchsorted position in range
-    keys = np.append(edges[:, 0] * (n + 1) + edges[:, 1], (n + 1) ** 2)
+    keys = np.append((origin + 1) * (n + 1) + terminus + 1, (n + 1) ** 2)
     run_end = np.searchsorted(keys, np.arange(1, n + 2) * (n + 1))  # run_end[v]: past v's last edge
 
     word = np.arange(1, n + 1, dtype=letter)[:, None]
@@ -301,8 +270,9 @@ def export_dot(g: WeightedDigraph) -> str:
     lines = ["digraph G {"]
     for v in range(1, g.n_vertices + 1):
         lines.append(f"  v{v};")
-    for (i, j), w in g.weights.items():
-        lines.append(f'  v{i} -> v{j} [label="{_format_weight(w)}"];')
+    origin, terminus = np.nonzero(g.weights)
+    for i, j, w in zip(origin.tolist(), terminus.tolist(), g.weights[origin, terminus].tolist()):
+        lines.append(f'  v{i + 1} -> v{j + 1} [label="{_format_weight(w)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -85,15 +85,17 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
 
     Checks, in order: Hermiticity (max entrywise defect), unit trace, and
     positive semi-definiteness (minimum eigenvalue >= -tol).  Each error
-    message reports the offending magnitude.
+    message reports the offending magnitude.  The bounds are written so
+    that a NaN defect or eigenvalue fails them.
     """
     a = as_square_matrix(matrix)
     eigenvalues = eig_hermitian(a, tol=tol)
     trace_defect = abs(complex(np.trace(a)) - 1.0)
-    if trace_defect > tol:
+    if not trace_defect <= tol:
         raise NotUnitTrace(f"|tr - 1| = {trace_defect:.3e} exceeds tol {tol:.1e}")
-    if eigenvalues[0] < -tol:
-        raise NotPSD(f"minimum eigenvalue {eigenvalues[0]:.3e} below -{tol:.1e}")
+    lowest = eigenvalues.min()
+    if not lowest >= -tol:
+        raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{tol:.1e}")
     return DensityMatrix(a, tol, eigenvalues)
 
 
@@ -159,16 +161,20 @@ def eig_hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
     Rejects a matrix whose Hermiticity defect exceeds tol (which must be
-    finite and positive), then hands the Hermitian part (a + a^H)/2 to
-    numpy's eigvalsh.
+    finite and positive), then hands the Hermitian part a/2 + a^H/2 to
+    numpy's eigvalsh.  Halving before adding or subtracting keeps the sums
+    finite for entries near the float maximum, where a + a^H overflowed to
+    inf; halving is exact for normal floats, so other inputs are unchanged.
     """
     a = as_square_matrix(matrix)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    herm_defect = float(np.abs(a - a.conj().T).max())
+    half = a / 2.0
+    half_h = half.conj().T
+    herm_defect = 2.0 * float(np.abs(half - half_h).max())
     if herm_defect > tol:
         raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return np.linalg.eigvalsh(half + half_h)
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:

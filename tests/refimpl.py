@@ -194,8 +194,10 @@ def enumerate_primes_recursive(g, length_cap: int) -> list:
     checked; callers keep the graph small.
     """
     out_edges = {v: {} for v in range(1, g.n_vertices + 1)}
-    for edge, weight in g.weights.items():
-        out_edges[edge[0]][edge[1]] = (edge, weight)
+    for i, row in enumerate(g.weights.tolist(), start=1):
+        for j, weight in enumerate(row, start=1):
+            if weight != 0:
+                out_edges[i][j] = ((i, j), weight)
     by_length = [[] for _ in range(length_cap + 1)]
     word, walk = [], []
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhozeta import cli, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
@@ -97,6 +101,65 @@ def test_file_byte_cap_exits_before_parsing(tmp_path, capsys, monkeypatch):
     assert out == "" and err.startswith("error: CapExceeded")
 
 
+def _wishart_entries(dim, seed):
+    """Row-major [re, im] pairs of a seeded normalized Wishart state."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    w = g @ g.conj().T
+    return [[z.real, z.imag] for z in (w / np.trace(w).real).ravel().tolist()]
+
+
+_JUNK = st.sampled_from([True, False, None, "0.5", math.nan, math.inf, -math.inf])
+_HUGE = st.floats(-1.7e308, 1.7e308)
+
+
+@st.composite
+def file_payloads(draw):
+    """Matrix JSON text for dims 1..4: a valid Wishart state, or one with
+    a wrong entry count, a mistyped or non-finite component, or finite
+    entries up to the float maximum (placed in Hermitian pairs, or not)."""
+    dim = draw(st.integers(1, 4))
+    entries = _wishart_entries(dim, draw(st.integers(0, 2**32 - 1)))
+    corruption = draw(st.sampled_from(["none", "length", "junk", "huge", "huge-hermitian"]))
+    if corruption == "length":
+        size = draw(st.integers(0, 2 * dim * dim).filter(lambda k: k != dim * dim))
+        entries = (entries * 2)[:size]
+    elif corruption == "junk":
+        entries[draw(st.integers(0, dim * dim - 1))][draw(st.integers(0, 1))] = draw(_JUNK)
+    elif corruption.startswith("huge"):
+        for _ in range(draw(st.integers(1, dim * dim))):
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            re, im = draw(_HUGE), draw(_HUGE)
+            entries[i * dim + j] = [re, im]
+            if corruption == "huge-hermitian":
+                entries[j * dim + i] = [re, -im if i != j else im]
+    return json.dumps({"dim": dim, "entries": entries})
+
+
+@pytest.fixture(scope="module")
+def payload_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("payloads") / "rho.json"
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(payload=file_payloads())
+def test_coeffs_file_ends_in_finite_table_or_named_error(payload_path, payload):
+    """coeffs on any --file payload prints finite c_n with exit 0 or 1, or
+    exits 2 with only an error line; it never raises."""
+    payload_path.write_text(payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["coeffs", "--file", str(payload_path), "--N", "4"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: "), (payload, err)
+    else:
+        assert code in (0, 1), payload
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n", "c_n"] and [int(n) for n, _ in rows[1:]] == [1, 2, 3, 4]
+        assert all(math.isfinite(float(c)) for _, c in rows[1:]), (payload, out)
+
+
 # -- coeffs ---------------------------------------------------------------------
 
 def test_coeffs_plus_all_ones(tmp_path, capsys):
@@ -152,6 +215,18 @@ def test_nan_tolerances_are_input_errors(tmp_path, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert out == "" and "ValueError" in err and "finite" in err
+
+
+def test_indefinite_file_near_float_max_is_rejected(tmp_path, capsys):
+    # its Hermitian part overflowed during validation: curve printed zeta = 1
+    # on every row and coeffs printed inf and nan, both with a zero exit code
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}))
+    for args in (["curve", "--file", str(bad), "--u-max", "0.5", "--steps", "3"],
+                 ["coeffs", "--file", str(bad), "--N", "4"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert out == "" and err.startswith("error: NotPSD")
 
 
 def test_validation_tol_applies_to_file_input(tmp_path, capsys):

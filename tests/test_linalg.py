@@ -62,6 +62,14 @@ def test_validate_rejects_negative_eigenvalue():
         validate_density(np.diag([1.5, -0.5]), 1e-9)
 
 
+def test_validate_rejects_indefinite_matrix_near_float_max():
+    # eigenvalues 0.5 +- 1e308; (a + a^H)/2 overflowed to inf, eigvalsh gave
+    # NaN, and NaN passed the PSD bound, so the matrix was accepted
+    for off in (1e308, 1.7e308, 1e200):
+        with pytest.raises(NotPSD, match="minimum eigenvalue -"):
+            validate_density(np.array([[0.5, off], [off, 0.5]]))
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         validate_density(np.ones((2, 3)))
