@@ -11,7 +11,11 @@ constraint).  Each class is represented by the lexicographically least
 rotation of its edge sequence, edges ordered by (origin, terminus); its
 vertex sequence is a Lyndon word, and enumerate_primes generates each such
 word once, by a breadth-first prenecklace search over numpy arrays, one
-step per length.  It returns PrimeClasses: per-length arrays of words and
+step per length: each level's words are rows of a fixed-width buffer,
+gathered whole with np.take, and two lookup tables over edge keys, built
+once per call, find every word's successors and closing edge.  A bound on
+the search's steps, one masked matrix product per length, refuses a search
+too large to run.  It returns PrimeClasses: per-length arrays of words and
 edge norms, iterated as PrimeClass items.  complex_product
 multiplies norms as Python's complex multiply does, bit for bit, so the
 array search and the Euler expansion give the same floats as a loop over
@@ -135,18 +139,30 @@ def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
     the walks of length 1..length_cap from s that stay on vertices >= s.
     Every prenecklace the search visits is such a walk.
 
-    Counted with the 0/1 adjacency matrix in float64, exact below 2**53.
+    walks[s, v] counts the walks of the current length from s to v that
+    stay on vertices >= s; one n x n product with the 0/1 adjacency matrix,
+    masked to its upper triangle, steps every start vertex at once.
+    Counted in float64, exact below 2**53.
     """
     adjacency = (g.weights != 0).astype(float)
-    n = g.n_vertices
+    upper = np.triu(np.ones_like(adjacency))
+    walks = adjacency * upper
     total = 0.0
-    for s in range(n):
-        sub = adjacency[s:, s:]
-        walks = sub[0]
-        for _ in range(length_cap):
-            total += walks.sum()
-            walks = walks @ sub
+    for _ in range(length_cap):
+        total += walks.sum()
+        walks = (walks @ adjacency) * upper
     return total
+
+
+def _product_parts(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + ai i) * (br + bi i), as CPython forms them."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _as_complex(re, im) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def complex_product(a, b) -> np.ndarray:
@@ -159,10 +175,7 @@ def complex_product(a, b) -> np.ndarray:
     every element equals the Python product bit for bit.
     """
     a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return _as_complex(*_product_parts(a.real, a.imag, b.real, b.imag))
 
 
 class PrimeClasses:
@@ -188,6 +201,11 @@ class PrimeClasses:
                 yield PrimeClass(rep=rep, nu=len(word), edge_norm=norm)
 
 
+#: Width of a word row: the first power of two >= PRIME_LENGTH_CAP, so
+#: np.take copies each row whole (16 or 32 bytes for uint8 or uint16 letters).
+_ROW = 1 << (PRIME_LENGTH_CAP - 1).bit_length()
+
+
 def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
     """Enumerate prime classes of closed walks up to the given length.
 
@@ -201,16 +219,22 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
     whose bound _search_steps exceeds MAX_SEARCH_STEPS is refused up front.
 
     The search is breadth first.  Level t holds every prenecklace of length
-    t as rows of a word array, with its period and the norm of its t - 1
-    edges.  Edges are keyed origin*(n+1) + terminus, in sorted order, so
-    the successors of a word are one run of keys; one searchsorted finds
-    every run of a level and np.repeat lays out the next level.  Children
-    follow their parent in ascending terminus order, so each level, and
-    the classes taken from it, are in lexicographic order without a sort.
-    Norms are multiplied with complex_product, left to right from 1 + 0j,
-    so each is the same float as a product of Python complex numbers.  A
-    level has at most as many rows as the search takes steps, so memory is
-    bounded by MAX_SEARCH_STEPS.
+    t as the first t letters of a row of a (count, _ROW) word buffer, with
+    its period and the real and imaginary parts of the norm of its t - 1
+    edges.  Rows are gathered whole with np.take, and the letter t - p of
+    every row is read from the flat buffer.  Edges are keyed
+    origin*(n+1) + terminus, in sorted order, so the successors of a word
+    are one run of edges; two tables over all (n+1)**2 keys, built once,
+    give the first edge at or above a key and the edge with a key (or -1),
+    so one lookup finds where each run starts and ends and whether a word
+    closes.  np.repeat lays out the next level.  The last level is built
+    from successors above the floor letter only, which are its Lyndon
+    words.  Children follow their parent in ascending terminus order, so
+    each level, and the classes taken from it, are in lexicographic order
+    without a sort.  Norms are multiplied with complex_product's formula,
+    left to right from 1 + 0j, so each is the same float as a product of
+    Python complex numbers.  A level has at most as many rows as the search
+    takes steps, so memory is bounded by MAX_SEARCH_STEPS.
     """
     if length_cap < 1:
         raise ValueError("length cap must be at least 1")
@@ -222,42 +246,50 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
             f"length cap {length_cap} needs {steps:.3g} search steps, above cap {MAX_SEARCH_STEPS}"
         )
     n = g.n_vertices
+    stride = n + 1
     letter = np.min_scalar_type(n)
     origin, terminus = np.nonzero(g.weights)
     weights = g.weights[origin, terminus]
+    w_re, w_im = np.ascontiguousarray(weights.real), np.ascontiguousarray(weights.imag)
     termini = (terminus + 1).astype(letter)
-    # a sentinel above every key keeps each searchsorted position in range
-    keys = np.append((origin + 1) * (n + 1) + terminus + 1, (n + 1) ** 2)
-    run_end = np.searchsorted(keys, np.arange(1, n + 2) * (n + 1))  # run_end[v]: past v's last edge
+    key = (origin + 1) * stride + terminus + 1
+    # first_edge[k]: the first edge with key >= k; its last entry, at
+    # (n+1)**2, ends vertex n's run.  edge_at[k]: the edge with key k, or -1.
+    first_edge = np.searchsorted(key, np.arange(stride * stride + 1))
+    edge_at = np.full(stride * stride, -1)
+    edge_at[key] = np.arange(len(key))
 
-    word = np.arange(1, n + 1, dtype=letter)[:, None]
+    word = np.zeros((n, _ROW), dtype=letter)
+    word[:, 0] = np.arange(1, n + 1)
     period = np.ones(n, dtype=np.uint8)
-    norm = np.ones(n, dtype=complex)
+    re, im = np.ones(n), np.zeros(n)
     words, norms = [], []
     for t in range(1, length_cap + 1):
-        last = word[:, -1].astype(np.intp)
+        row = word[:, t - 1].astype(np.intp) * stride  # the keys of the last letter's edges start here
         lyndon = np.flatnonzero(period == t)
-        closing = last[lyndon] * (n + 1) + word[lyndon, 0]
-        at = np.searchsorted(keys, closing)
-        closes = keys[at] == closing
-        words.append(word[lyndon[closes]])
-        norms.append(complex_product(norm[lyndon[closes]], weights[at[closes]]))
+        closing = edge_at[row[lyndon] + word[:, 0][lyndon]]
+        closes = closing >= 0
+        lyndon, closing = lyndon[closes], closing[closes]
+        words.append(np.take(word, lyndon, axis=0)[:, :t])
+        norms.append(_as_complex(*_product_parts(re[lyndon], im[lyndon], w_re[closing], w_im[closing])))
         if t == length_cap:
             break
-        floor = word[np.arange(len(word)), t - period]
-        first = np.searchsorted(keys, last * (n + 1) + floor)
-        counts = run_end[last] - first
+        floor = np.take(word, np.arange(len(word)) * _ROW + (t - period))
+        # the last level is read only for its classes: it takes only the
+        # successors above the floor, its Lyndon words, and keeps those that close
+        last_level = t + 1 == length_cap
+        first = first_edge[row + floor + last_level]
+        counts = first_edge[row + stride] - first
         parent = np.repeat(np.arange(len(word)), counts)
         edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         grown = termini[edge]
+        if last_level:
+            closes = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]] >= 0
+            parent, edge, grown = parent[closes], edge[closes], grown[closes]
         period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
-        if t + 1 == length_cap:
-            # the last level is read only for its classes: keep the Lyndon words that close
-            closing = grown.astype(np.intp) * (n + 1) + word[parent, 0]
-            keep = (period == length_cap) & (keys[np.searchsorted(keys, closing)] == closing)
-            parent, edge, grown, period = parent[keep], edge[keep], grown[keep], period[keep]
-        word = np.concatenate([word[parent], grown[:, None]], axis=1)
-        norm = complex_product(norm[parent], weights[edge])
+        word = np.take(word, parent, axis=0)
+        word[:, t] = grown
+        re, im = _product_parts(re[parent], im[parent], w_re[edge], w_im[edge])
     return PrimeClasses(words, norms)
 
 

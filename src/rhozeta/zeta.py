@@ -136,7 +136,8 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     multiply, and added with np.add.accumulate, which sums left to right as
     the loop does; so the result is the loop's, bit for bit.  The route
     shares no code with series_coeffs.  The classes must be complete up to
-    that length, so the order may not exceed the enumeration cap.
+    the order, so it may exceed neither the enumeration cap nor the length
+    the classes were enumerated to.
     Coefficients must come out real (imaginary residue below 1e-9), and the
     imaginary parts are dropped after the check.
     """
@@ -145,6 +146,10 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     if order > PRIME_LENGTH_CAP:
         raise IncompletePrimes(
             f"order {order} exceeds the prime enumeration cap {PRIME_LENGTH_CAP}"
+        )
+    if order > len(primes.norms):
+        raise IncompletePrimes(
+            f"order {order} exceeds the length {len(primes.norms)} the primes were enumerated to"
         )
     coeffs = [0j] * (order + 1)
     coeffs[0] = 1 + 0j

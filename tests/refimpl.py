@@ -4,8 +4,10 @@ None of these is on a path the CLI runs: the per-permutation gather, the
 dense symmetric projector and permutation operators check the acceptance
 oracle's permanent sum, the partition-sum cycle index checks the series
 recurrence, the one-product-at-a-time power sums and the generator form of
-the recurrence pin the bits of trace_powers and series_coeffs, and seeded
-Haar unitaries drive the basis-invariance checks.  The copy caps come from
+the recurrence pin the bits of trace_powers and series_coeffs, the recursive
+prime generator and the per-start-vertex step count check the array prime
+search and its step bound, and seeded Haar unitaries drive the
+basis-invariance checks.  The copy caps come from
 rhozeta.quantum, so they keep one home.
 """
 
@@ -183,6 +185,23 @@ def series_coeffs_generator(power_sums, order: int) -> tuple:
     for n in range(1, order + 1):
         c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
     return tuple(c)
+
+
+def search_steps_per_start(g, length_cap: int) -> float:
+    """The prime search's step bound, one start vertex s at a time.
+
+    Sums the walks of length 1..length_cap from s on the subgraph of
+    vertices >= s, one vector-matrix product per length, in float64.
+    """
+    adjacency = (g.weights != 0).astype(float)
+    total = 0.0
+    for s in range(g.n_vertices):
+        sub = adjacency[s:, s:]
+        walks = sub[0]
+        for _ in range(length_cap):
+            total += walks.sum()
+            walks = walks @ sub
+    return total
 
 
 def enumerate_primes_recursive(g, length_cap: int) -> list:

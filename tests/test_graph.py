@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows
+from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows, search_steps_per_start
 from rhozeta import graph, zeta
 from rhozeta.errors import AllLoops, CapExceeded, DimensionMismatch
 from rhozeta.graph import (
@@ -310,6 +310,19 @@ def cycle_chord_laplacian(seed):
     return density_from_weighted_graph(LaplacianWeights(n, weights))
 
 
+def wide_cycle_digraph(n):
+    """Directed n-cycle with loops and a few backward chords, weights complex
+    normal.  With n >= 256 the letters need uint16, and the chords close
+    short primes on vertices on both sides of 255."""
+    rng = np.random.default_rng(n)
+    weights = np.zeros((n, n), dtype=complex)
+    v = np.arange(n)
+    chords = [(2, 0), (130, 126), (253, 251), (255, 252), (n - 1, n - 2)]
+    for i, j in [*zip(v, v), *zip(v, (v + 1) % n), *chords]:
+        weights[i, j] = complex(*rng.normal(size=2))
+    return WeightedDigraph(weights)
+
+
 #: Graphs the array search and the Euler expansion are compared on, with the
 #: recursive generator and the per-class loop of tests/refimpl.py as reference.
 REFERENCE_GRAPHS = {
@@ -317,6 +330,7 @@ REFERENCE_GRAPHS = {
     "dense": lambda: [graph_from_density(random_density(d, s)) for d in range(1, 7) for s in range(3)],
     "sparse": lambda: [random_sparse_digraph(seed) for seed in range(12)],
     "laplacian": lambda: [graph_from_density(cycle_chord_laplacian(seed)) for seed in range(7)],
+    "wide": lambda: [wide_cycle_digraph(n) for n in (256, 300)],
 }
 
 
@@ -352,6 +366,22 @@ def test_euler_matches_per_class_loop(family, monkeypatch):
             coeffs = zeta.euler_product_coeffs(primes, order).coeffs
             expected = euler_product_loop(reference, order)
             assert [c.hex() for c in coeffs] == [c.real.hex() for c in expected], (g, order)
+
+
+@pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
+def test_search_steps_match_per_start_vertex_loop(family):
+    for g in REFERENCE_GRAPHS[family]():
+        for length_cap in range(1, graph.PRIME_LENGTH_CAP + 1):
+            assert graph._search_steps(g, length_cap) == search_steps_per_start(g, length_cap), (g, length_cap)
+
+
+def test_words_are_count_by_length_arrays_of_the_smallest_letter_dtype():
+    for g, letter in [(graph_from_density(PLUS), np.uint8), (wide_cycle_digraph(300), np.uint16)]:
+        primes = enumerate_primes(g, reference_length(g))
+        for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
+            assert words.dtype == letter and words.shape == (len(norms), nu), (g, nu)
+    assert primes.words[1].tolist() == [[299, 300]]
+    assert [253, 254, 255, 256] in primes.words[3].tolist()
 
 
 def test_complex_product_matches_python_bit_for_bit():

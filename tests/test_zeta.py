@@ -125,21 +125,22 @@ def test_euler_maximally_mixed():
     assert euler_product_coeffs(primes, 2).coeffs == (1.0, 1.0, 0.75)
 
 
-def classes_of_length(nu, words, norms):
-    """PrimeClasses holding the given classes, all of length nu, and none shorter."""
-    words = [np.empty((0, k), dtype=np.uint8) for k in range(1, nu)] + [np.array(words, dtype=np.uint8)]
-    norms = [np.empty(0, dtype=complex)] * (nu - 1) + [np.array(norms, dtype=complex)]
+def classes_of_length(nu, words, norms, length):
+    """PrimeClasses complete up to length, holding only the given classes, all of length nu."""
+    words = [np.array(words if k == nu else [], dtype=np.uint8).reshape(-1, k) for k in range(1, length + 1)]
+    norms = [np.array(norms if k == nu else [], dtype=complex) for k in range(1, length + 1)]
     return PrimeClasses(words, norms)
 
 
 def test_euler_empty_graph():
-    assert euler_product_coeffs(PrimeClasses((), ()), 3).coeffs == (1.0, 0.0, 0.0, 0.0)
+    empty = classes_of_length(1, [], [], 3)
+    assert euler_product_coeffs(empty, 3).coeffs == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_euler_single_prime_strides_exactly():
     # 1/(1 - 0.5 u^3) to order 7; a descending or wrongly strided loop
     # puts mass elsewhere or misses the 0.25 at u^6
-    triangle = classes_of_length(3, [[1, 2, 3]], [0.5 + 0j])
+    triangle = classes_of_length(3, [[1, 2, 3]], [0.5 + 0j], 7)
     assert list(triangle)[0].rep == ((1, 2), (2, 3), (3, 1))
     assert euler_product_coeffs(triangle, 7).coeffs == (1, 0, 0, 0.5, 0, 0, 0.25, 0)
 
@@ -149,10 +150,19 @@ def test_euler_rejects_order_beyond_cap():
         euler_product_coeffs([], 15)
 
 
+def test_euler_rejects_order_beyond_enumerated_length():
+    # classes enumerated to L = 4 say nothing of lengths 5..8; counting them
+    # as empty gave c_5 = 0.271562 where the series gives 0.293455
+    primes = enumerate_primes(graph_from_density(random_density(3, 1)), 4)
+    assert euler_product_coeffs(primes, 4).coeffs[4] > 0
+    with pytest.raises(IncompletePrimes, match="order 8 exceeds the length 4"):
+        euler_product_coeffs(primes, 8)
+
+
 def test_euler_rejects_imaginary_residue():
     from rhozeta.errors import NonRealCoefficient
 
-    lone = classes_of_length(1, [[1]], [1j])
+    lone = classes_of_length(1, [[1]], [1j], 2)
     assert list(lone)[0].rep == ((1, 1),)
     with pytest.raises(NonRealCoefficient):
         euler_product_coeffs(lone, 2)
