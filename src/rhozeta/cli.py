@@ -74,6 +74,8 @@ def _check_args(args) -> None:
                 raise ValueError("p grid needs finite min < max and at least 2 steps")
             if args.file is not None or args.state != "isotropic":
                 raise RhoZetaError("p grid sweeps apply only to the isotropic state")
+        elif args.p_min is not None or args.p_max is not None:
+            raise ValueError("--p-min and --p-max need --p-steps")
         rows = args.steps * (args.p_steps or 1)
         if rows > _MAX_CURVE_ROWS:
             raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllLoops, CapExceeded
-from .linalg import DEFAULT_TOL, DensityMatrix, as_square_matrix, validate_density
+from .linalg import DensityMatrix, as_square_matrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
@@ -118,7 +118,7 @@ def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -
     return WeightedDigraph(np.where(np.abs(a) > zero_tol, a, 0))
 
 
-def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def density_from_weighted_graph(g: LaplacianWeights) -> DensityMatrix:
     """Density matrix of a weighted graph via its normalized Laplacian.
 
     Adjacency holds the weight magnitudes, degrees are row sums, and the
@@ -131,7 +131,7 @@ def density_from_weighted_graph(g: LaplacianWeights, tol: float = DEFAULT_TOL) -
     lap_trace = float(np.trace(laplacian))
     if lap_trace <= 0.0:
         raise AllLoops("Laplacian trace is zero: graph consists only of loops")
-    return validate_density(laplacian / lap_trace, tol)
+    return validate_density(laplacian / lap_trace)
 
 
 def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
@@ -206,7 +206,7 @@ class PrimeClasses:
 _ROW = 1 << (PRIME_LENGTH_CAP - 1).bit_length()
 
 
-def enumerate_primes(g: WeightedDigraph, length_cap: int = 8) -> PrimeClasses:
+def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     """Enumerate prime classes of closed walks up to the given length.
 
     A prime class is a Lyndon word over the vertex alphabet whose

@@ -89,8 +89,9 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     that a NaN defect or eigenvalue fails them.
     """
     a = as_square_matrix(matrix)
-    eigenvalues = eig_hermitian(a, tol=tol)
-    trace_defect = abs(complex(np.trace(a)) - 1.0)
+    with np.errstate(over="ignore"):  # an overflowed defect or trace is inf and fails its bound
+        eigenvalues = eig_hermitian(a, tol=tol)
+        trace_defect = abs(complex(np.trace(a)) - 1.0)
     if not trace_defect <= tol:
         raise NotUnitTrace(f"|tr - 1| = {trace_defect:.3e} exceeds tol {tol:.1e}")
     lowest = eigenvalues.min()
@@ -213,15 +214,16 @@ def matrix_from_json(obj) -> np.ndarray:
         raise DimensionMismatch(
             f"'entries' must hold {n * n} pairs for dim {n}, got {len(entries) if isinstance(entries, list) else 'non-list'}"
         )
-    out = np.empty(n * n, dtype=complex)
+    number = (int, float)
     for idx, pair in enumerate(entries):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and isinstance(pair[0], number) and isinstance(pair[1], number)
+                and not isinstance(pair[0], bool) and not isinstance(pair[1], bool)):
             raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
-        try:
-            out[idx] = complex(pair[0], pair[1])
-        except OverflowError:
-            raise ValueError(f"entry {idx} exceeds the float range") from None
+    try:
+        out = np.array(entries, dtype=float).view(complex)
+    except OverflowError:
+        raise ValueError("an entry exceeds the float range") from None
     return as_square_matrix(out.reshape(n, n))
 
 

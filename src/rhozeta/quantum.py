@@ -1,5 +1,8 @@
 """Reference states, the registry of named states, and the brute-force copy-symmetry test.
 
+The pure built-ins (plus, Bell, W, GHZ) are amplitude tables in
+BUILTIN_STATES, each an equal superposition of a few basis states.
+
 acceptance_probability evaluates the k-copy symmetric-subspace measurement
 tr[P_sym rho^{(x)k}] by brute force over a basis of the symmetric
 subspace: one occupation-number basis vector per multiset alpha of k basis
@@ -16,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace, random_density, validate_density
+from .linalg import DensityMatrix, partial_trace, random_density, validate_density
 
 #: Hard caps on the copy count and on d^k.  They bound the acceptance
 #: oracle's O(C(d+k-1, k) k 2^k) permanent sum.
@@ -24,47 +27,22 @@ MAX_COPIES = 5
 MAX_PROJECTOR_DIM = 4096
 
 
-class PureState:
-    """A unit vector; density() gives the corresponding rank-one state."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
-        if amps.size == 0 or not np.all(np.isfinite(amps)):
-            raise InvalidParameter("amplitudes must be a nonempty finite vector")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise InvalidParameter(f"state norm {norm!r} is not 1 within {DEFAULT_TOL:.1e}")
-        amps.flags.writeable = False
-        self.amplitudes = amps
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> DensityMatrix:
-        return validate_density(np.outer(self.amplitudes, self.amplitudes.conj()))
+def _superposition(dim: int, support: list) -> np.ndarray:
+    """Equal-weight superposition of the given basis states of C^dim."""
+    amps = np.zeros(dim, dtype=complex)
+    amps[support] = 1.0 / sqrt(len(support))
+    return amps
 
 
-def plus_state() -> PureState:
-    return PureState(np.array([1.0, 1.0]) / sqrt(2.0))
+def _pure(amps: np.ndarray) -> DensityMatrix:
+    """The rank-one state of a unit vector."""
+    return validate_density(np.outer(amps, amps.conj()))
 
 
-def bell_state() -> PureState:
-    return PureState(np.array([1.0, 0.0, 0.0, 1.0]) / sqrt(2.0))
-
-
-def w_state() -> PureState:
-    amps = np.zeros(8)
-    amps[[0b001, 0b010, 0b100]] = 1.0 / sqrt(3.0)
-    return PureState(amps)
-
-
-def ghz_state() -> PureState:
-    amps = np.zeros(8)
-    amps[[0b000, 0b111]] = 1.0 / sqrt(2.0)
-    return PureState(amps)
+def _reduced(amps: np.ndarray) -> DensityMatrix:
+    """State of the last factors once the first qubit is traced out."""
+    rho = _pure(amps)
+    return partial_trace(rho, (2, rho.dim // 2), keep="B")
 
 
 def isotropic_state(p: float) -> DensityMatrix:
@@ -83,12 +61,6 @@ def sigma_state() -> DensityMatrix:
     return validate_density(np.diag([1.0 / 3.0, 0.0, 0.0, 2.0 / 3.0]))
 
 
-def _reduced(pure: PureState) -> DensityMatrix:
-    """State of the last factors once the first qubit is traced out."""
-    rho = pure.density()
-    return partial_trace(rho, (2, rho.dim // 2), keep="B")
-
-
 def _sigma3() -> DensityMatrix:
     s = sigma_state().matrix
     return validate_density(np.kron(np.kron(s, s), s))
@@ -96,16 +68,17 @@ def _sigma3() -> DensityMatrix:
 
 #: Named states.  Every factory takes (p, dim, seed): p parametrizes the
 #: isotropic state, dim and seed the random one; the others ignore them.
+#: Pure states list their support as bit strings, first qubit most significant.
 BUILTIN_STATES = {
-    "plus": lambda p, dim, seed: plus_state().density(),
-    "bell": lambda p, dim, seed: bell_state().density(),
-    "bell-reduced": lambda p, dim, seed: _reduced(bell_state()),
+    "plus": lambda p, dim, seed: _pure(_superposition(2, [0b0, 0b1])),
+    "bell": lambda p, dim, seed: _pure(_superposition(4, [0b00, 0b11])),
+    "bell-reduced": lambda p, dim, seed: _reduced(_superposition(4, [0b00, 0b11])),
     "maxmixed2": lambda p, dim, seed: validate_density(np.eye(2) / 2),
     "maxmixed4": lambda p, dim, seed: validate_density(np.eye(4) / 4),
-    "w": lambda p, dim, seed: w_state().density(),
-    "w-reduced": lambda p, dim, seed: _reduced(w_state()),
-    "ghz": lambda p, dim, seed: ghz_state().density(),
-    "ghz-reduced": lambda p, dim, seed: _reduced(ghz_state()),
+    "w": lambda p, dim, seed: _pure(_superposition(8, [0b001, 0b010, 0b100])),
+    "w-reduced": lambda p, dim, seed: _reduced(_superposition(8, [0b001, 0b010, 0b100])),
+    "ghz": lambda p, dim, seed: _pure(_superposition(8, [0b000, 0b111])),
+    "ghz-reduced": lambda p, dim, seed: _reduced(_superposition(8, [0b000, 0b111])),
     "isotropic": lambda p, dim, seed: isotropic_state(p),
     "sigma": lambda p, dim, seed: sigma_state(),
     "sigma3": lambda p, dim, seed: _sigma3(),

@@ -229,6 +229,22 @@ def test_indefinite_file_near_float_max_is_rejected(tmp_path, capsys):
         assert out == "" and err.startswith("error: NotPSD")
 
 
+def test_file_trace_overflow_prints_only_the_error_line(tmp_path):
+    # the diagonal sums past the float maximum: numpy's overflow warning
+    # reached stderr ahead of the error line, and under -W error it became
+    # a traceback with exit 1
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dim": 2, "entries": [[1.7e308, 0], [0, 0], [0, 0], [1.7e308, 0]]}))
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "rhozeta.cli", "coeffs", "--file", str(big), "--N", "4"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, flags
+        assert proc.stdout == "" and proc.stderr.startswith("error: NotUnitTrace"), proc.stderr
+
+
 def test_validation_tol_applies_to_file_input(tmp_path, capsys):
     near = tmp_path / "near.json"
     save_matrix(near, np.diag([0.5 + 1e-6, 0.5]))
@@ -361,6 +377,14 @@ def test_curve_surface_requires_p_range(capsys):
     code, _, err = run_cli(["curve", "--state", "isotropic", "--p-steps", "3"], capsys)
     assert code == 2
     assert "--p-min and --p-max" in err
+
+
+def test_curve_p_range_requires_p_steps(capsys):
+    # without --p-steps the p range was ignored and a plain u curve printed
+    for extra in (["--p-min", "0", "--p-max", "1"], ["--p-min", "0"], ["--p-max", "1"]):
+        code, out, err = run_cli(["curve", "--state", "random", "--steps", "3", *extra], capsys)
+        assert code == 2, extra
+        assert out == "" and err.startswith("error: ValueError") and "--p-steps" in err
 
 
 def test_curve_row_cap(tmp_path, capsys):

@@ -50,6 +50,11 @@ def test_validate_plus_state():
 def test_validate_rejects_trace_two():
     with pytest.raises(NotUnitTrace):
         validate_density(np.eye(2), 1e-9)
+    # a trace that overflows to inf: np.trace's overflow warning used to
+    # escape validation, which the suite's RuntimeWarning filter turns into
+    # an error
+    with pytest.raises(NotUnitTrace, match="inf"):
+        validate_density(np.diag([1.7e308, 1.7e308]))
 
 
 def test_validate_rejects_non_hermitian():
@@ -308,6 +313,16 @@ def test_json_round_trip():
     rho = random_density(3, 13)
     again = matrix_from_json(matrix_to_json(rho.matrix))
     assert np.array_equal(again, rho.matrix)
+
+
+def test_json_decode_matches_per_entry_complex():
+    # the one-step numpy decode against the per-entry loop it replaced,
+    # byte for byte: ints, signed zeros, tuples and values near the float maximum
+    entries = [[1, -0.0], (-0.0, 2), [0.5, 1.7e308], [-(2**60), 3], [1e-310, -1e-300],
+               [0, 0], [-1.5, -0.0], (7, -2.25), [2**1023, -4]]
+    expected = np.array([complex(re, im) for re, im in entries]).reshape(3, 3)
+    got = matrix_from_json({"dim": 3, "entries": entries})
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_json_rejects_wrong_length():

@@ -20,15 +20,10 @@ from rhozeta.quantum import (
     BUILTIN_STATES,
     MAX_COPIES,
     MAX_PROJECTOR_DIM,
-    PureState,
     acceptance_probability,
-    bell_state,
     builtin_state,
-    ghz_state,
     isotropic_state,
-    plus_state,
     sigma_state,
-    w_state,
 )
 from rhozeta.zeta import series_coeffs
 
@@ -44,22 +39,43 @@ SWAP = np.array(
 # -- states ---------------------------------------------------------------------
 
 def test_plus_state_density():
-    rho = plus_state().density()
+    rho = builtin_state("plus")
     assert np.allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_bell_amplitudes():
-    amps = bell_state().amplitudes
-    assert np.allclose(amps, np.array([1, 0, 0, 1]) / math.sqrt(2))
+    # the first row of |psi><psi| is psi_0 conj(psi), and psi_0 = 1/sqrt(2)
+    psi = builtin_state("bell").matrix[0] * math.sqrt(2)
+    assert np.allclose(psi, np.array([1, 0, 0, 1]) / math.sqrt(2))
 
 
 def test_w_and_ghz_support():
-    assert list(np.flatnonzero(w_state().amplitudes)) == [1, 2, 4]
-    assert list(np.flatnonzero(ghz_state().amplitudes)) == [0, 7]
+    assert list(np.flatnonzero(np.diag(builtin_state("w").matrix))) == [1, 2, 4]
+    assert list(np.flatnonzero(np.diag(builtin_state("ghz").matrix))) == [0, 7]
+
+
+def _pure_reference(dim, support):
+    """|psi><psi| for psi the equal superposition of the basis states in support."""
+    psi = np.zeros(dim, dtype=complex)
+    for i in support:
+        psi[i] = complex(1.0 / math.sqrt(len(support)), 0.0)
+    return np.outer(psi, psi.conj())
+
+
+def test_pure_builtins_are_bit_exact():
+    # an independent construction, compared byte for byte: signed zeros too,
+    # since DOT labels print them
+    supports = {"plus": (2, [0, 1]), "bell": (4, [0, 3]), "w": (8, [1, 2, 4]), "ghz": (8, [0, 7])}
+    for name, (dim, support) in supports.items():
+        pure = _pure_reference(dim, support)
+        assert builtin_state(name).matrix.tobytes() == pure.tobytes(), name
+        if name != "plus":
+            reduced = np.trace(pure.reshape(2, dim // 2, 2, dim // 2), axis1=0, axis2=2)
+            assert builtin_state(f"{name}-reduced").matrix.tobytes() == reduced.tobytes(), name
 
 
 def test_isotropic_zero_is_bell():
-    bell = bell_state().density()
+    bell = builtin_state("bell")
     iso = isotropic_state(0.0)
     assert np.allclose(iso.matrix, bell.matrix, atol=1e-12)
     assert iso.rank() == 1
@@ -80,8 +96,6 @@ def test_state_constructors_reject_bad_input():
         isotropic_state(1.5)
     with pytest.raises(InvalidParameter):
         builtin_state("isotropic", p=1.5)
-    with pytest.raises(InvalidParameter):
-        PureState([1.0, 1.0])
 
 
 # -- permutation operators ---------------------------------------------------------
@@ -155,7 +169,7 @@ def test_projector_invariants():
 # -- acceptance probability ----------------------------------------------------------------
 
 def test_acceptance_pure_state_is_one():
-    rho = plus_state().density()
+    rho = builtin_state("plus")
     assert abs(acceptance_probability(rho, 4) - 1.0) < 1e-12
 
 
@@ -230,7 +244,7 @@ def test_acceptance_maximally_mixed_is_symmetric_dimension():
 
 def test_acceptance_monotone_in_copies():
     states = [
-        plus_state().density(),
+        builtin_state("plus"),
         validate_density(np.eye(2) / 2),
         sigma_state(),
         isotropic_state(0.5),
@@ -244,7 +258,7 @@ def test_acceptance_monotone_in_copies():
 # -- purity -----------------------------------------------------------------------------------
 
 def test_purity_pure_state():
-    assert abs(trace_powers(plus_state().density(), 2)[1] - 1.0) < 1e-12
+    assert abs(trace_powers(builtin_state("plus"), 2)[1] - 1.0) < 1e-12
 
 
 def test_purity_maximally_mixed():
@@ -252,6 +266,6 @@ def test_purity_maximally_mixed():
 
 
 def test_purity_w_reduction():
-    w = w_state().density()
+    w = builtin_state("w")
     reduced = partial_trace(w, (2, 4), keep="B")
     assert abs(trace_powers(reduced, 2)[1] - 5 / 9) < 1e-12
