@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AtSingularity, CapExceeded, RhoZetaError
 from .graph import (
     DEFAULT_ZERO_TOL,
+    PRIME_LENGTH_CAP,
     enumerate_primes,
     export_dot,
     graph_from_density,
@@ -29,6 +30,7 @@ from .linalg import (
 )
 from .quantum import (
     BUILTIN_STATES,
+    MAX_COPIES,
     acceptance_probability,
     builtin_state,
     check_copy_caps,
@@ -57,6 +59,8 @@ def _check_args(args) -> None:
     tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
     if not all(0 < tol < math.inf for tol in tols):
         raise ValueError("tolerances must be finite and positive")
+    if not args.validation_tol < 1:
+        raise ValueError("the validation tolerance must be finite and positive, below 1")
     if args.command == "graph" and not 0 <= args.zero_tol < math.inf:
         raise ValueError("zero tolerance must be finite and nonnegative")
     if args.command == "coeffs":
@@ -188,7 +192,7 @@ def _add_state_arguments(parser):
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL,
-                        help="tolerance for validating a --file matrix; built-in states ignore it")
+                        help="validation tolerance in (0, 1) for a --file matrix; built-in states ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = sub.add_parser("coeffs", help="series coefficients and separability verdict")
     _add_state_arguments(p_coeffs)
-    p_coeffs.add_argument("--N", type=int, default=12, help="highest coefficient order (<= 64)")
+    p_coeffs.add_argument("--N", type=int, default=12,
+                          help=f"highest coefficient order (<= {_MAX_COEFF_ORDER})")
     p_coeffs.add_argument("--tol", type=float, default=DEFAULT_SEPARABILITY_TOL,
                           help="separability tolerance")
     p_coeffs.add_argument("--pure-bipartite", action="store_true",
@@ -222,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_primes = sub.add_parser("primes", help="prime class table as CSV")
     _add_state_arguments(p_primes)
-    p_primes.add_argument("--L", type=int, default=8, help="maximum prime length (<= 14)")
+    p_primes.add_argument("--L", type=int, default=8,
+                          help=f"maximum prime length (<= {PRIME_LENGTH_CAP})")
 
     p_bose = sub.add_parser("bose", help="copy-symmetry acceptance vs series coefficients")
     _add_state_arguments(p_bose)
-    p_bose.add_argument("--K", type=int, default=3, help="largest copy count")
+    p_bose.add_argument("--K", type=int, default=3, help=f"largest copy count (<= {MAX_COPIES})")
 
     return parser
 

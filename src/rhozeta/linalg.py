@@ -11,7 +11,6 @@ partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 """
 
 import json
-import math
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -72,10 +71,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def rank(self) -> int:
-        """Number of eigenvalues above ZERO_EIGENVALUE_TOL."""
-        return int(np.sum(self.eigenvalues > ZERO_EIGENVALUE_TOL))
-
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, tol={self.tol:g})"
 
@@ -84,16 +79,26 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a matrix as a density matrix, or raise naming the first violation.
 
     Checks, in order: Hermiticity (max entrywise defect), unit trace, and
-    positive semi-definiteness (minimum eigenvalue >= -tol).  Each error
-    message reports the offending magnitude.  The bounds are written so
-    that a NaN defect or eigenvalue fails them.
+    positive semi-definiteness (minimum eigenvalue >= -tol), with tol in
+    (0, 1); a tol of 1 or more admits matrices far from any state.  Each
+    message reports the offending magnitude; a NaN fails every bound.  The
+    spectrum is eigvalsh of the Hermitian part a/2 + a^H/2: halving first
+    keeps the sums finite for entries near the float maximum, and is exact
+    for normal floats.
     """
     a = as_square_matrix(matrix)
+    if not 0 < tol < 1:
+        raise ValueError("tol must be finite and positive, below 1")
+    half = a / 2.0
+    half_h = half.conj().T
     with np.errstate(over="ignore"):  # an overflowed defect or trace is inf and fails its bound
-        eigenvalues = eig_hermitian(a, tol=tol)
+        herm_defect = 2.0 * float(np.abs(half - half_h).max())
         trace_defect = abs(complex(np.trace(a)) - 1.0)
+    if not herm_defect <= tol:
+        raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
     if not trace_defect <= tol:
         raise NotUnitTrace(f"|tr - 1| = {trace_defect:.3e} exceeds tol {tol:.1e}")
+    eigenvalues = np.linalg.eigvalsh(half + half_h)
     lowest = eigenvalues.min()
     if not lowest >= -tol:
         raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{tol:.1e}")
@@ -158,26 +163,6 @@ def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:
     return validate_density(reduced, rho.tol)
 
 
-def eig_hermitian(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects a matrix whose Hermiticity defect exceeds tol (which must be
-    finite and positive), then hands the Hermitian part a/2 + a^H/2 to
-    numpy's eigvalsh.  Halving before adding or subtracting keeps the sums
-    finite for entries near the float maximum, where a + a^H overflowed to
-    inf; halving is exact for normal floats, so other inputs are unchanged.
-    """
-    a = as_square_matrix(matrix)
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
-    half = a / 2.0
-    half_h = half.conj().T
-    herm_defect = 2.0 * float(np.abs(half - half_h).max())
-    if herm_defect > tol:
-        raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
-    return np.linalg.eigvalsh(half + half_h)
-
-
 def random_density(dim: int, seed: int) -> DensityMatrix:
     """Seeded full-rank random density matrix (normalized Wishart sample)."""
     if dim < 1:
@@ -188,20 +173,12 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     return validate_density(w / np.trace(w).real)
 
 
-# -- shared matrix JSON format -----------------------------------------------
+# -- matrix JSON format ------------------------------------------------------
 #
 # {"dim": n, "entries": [[re, im], ...]} with n*n row-major entries.
 
-def matrix_to_json(matrix) -> dict:
-    """Encode a square matrix in the shared JSON wire format."""
-    a = as_square_matrix(matrix)
-    n = a.shape[0]
-    entries = [[float(v.real), float(v.imag)] for v in a.reshape(n * n)]
-    return {"dim": n, "entries": entries}
-
-
 def matrix_from_json(obj) -> np.ndarray:
-    """Decode the shared JSON wire format, rejecting malformed payloads."""
+    """Decode the matrix JSON format, rejecting malformed payloads."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
     n = obj["dim"]
@@ -225,12 +202,6 @@ def matrix_from_json(obj) -> np.ndarray:
     except OverflowError:
         raise ValueError("an entry exceeds the float range") from None
     return as_square_matrix(out.reshape(n, n))
-
-
-def save_matrix(path, matrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(matrix), fh)
-        fh.write("\n")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientPowerSums,
     NonRealCoefficient,
 )
-from .graph import PRIME_LENGTH_CAP, PrimeClasses, complex_product
+from .graph import PrimeClasses, complex_product
 from .linalg import ZERO_EIGENVALUE_TOL, DensityMatrix, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
@@ -136,17 +136,12 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     multiply, and added with np.add.accumulate, which sums left to right as
     the loop does; so the result is the loop's, bit for bit.  The route
     shares no code with series_coeffs.  The classes must be complete up to
-    the order, so it may exceed neither the enumeration cap nor the length
-    the classes were enumerated to.
+    the order, so it may not exceed the length they were enumerated to.
     Coefficients must come out real (imaginary residue below 1e-9), and the
     imaginary parts are dropped after the check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > PRIME_LENGTH_CAP:
-        raise IncompletePrimes(
-            f"order {order} exceeds the prime enumeration cap {PRIME_LENGTH_CAP}"
-        )
     if order > len(primes.norms):
         raise IncompletePrimes(
             f"order {order} exceeds the length {len(primes.norms)} the primes were enumerated to"
@@ -195,10 +190,12 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
 def zeta_eval(rational: ZetaRational, u) -> complex:
     """Evaluate 1/prod(1 - u*lam) as a log-magnitude sum times a unit phase.
 
-    A large |u| underflows to zero rather than overflowing.  Raises
-    AtSingularity within SINGULARITY_TOL of a pole (|1 - u*lam| is then at
-    most SINGULARITY_TOL * lam) and where |zeta| exceeds the float range;
-    raises ValueError for a non-finite u.
+    A large |u| underflows to zero rather than overflowing: a factor whose
+    modulus overflows is taken as 2*lam * (1/lam - u)/2, where the last term
+    stays finite and has the factor's phase.  Raises AtSingularity within
+    SINGULARITY_TOL of a pole (|1 - u*lam| is then at most SINGULARITY_TOL *
+    lam) and where |zeta| exceeds the float range; raises ValueError for a
+    non-finite u.
     """
     u = complex(u)
     if not (isfinite(u.real) and isfinite(u.imag)):
@@ -207,8 +204,15 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
     phase = 1 + 0j
     for lam in rational.eigenvalues:
         factor = 1 - u * lam
-        size = abs(factor)
-        if size <= SINGULARITY_TOL * lam:
+        try:
+            size = abs(factor)
+        except OverflowError:  # finite parts whose modulus exceeds the float range
+            size = inf
+        if size == inf:
+            factor = (1 / lam - u) / 2
+            size = abs(factor)
+            log_mag -= log(2 * lam)
+        elif size <= SINGULARITY_TOL * lam:
             raise AtSingularity(f"u={u} lies within {SINGULARITY_TOL:.0e} of the pole at {1 / lam!r}")
         log_mag -= log(size)
         phase *= factor.conjugate() / size

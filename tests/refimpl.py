@@ -6,17 +6,19 @@ oracle's permanent sum, the partition-sum cycle index checks the series
 recurrence, the one-product-at-a-time power sums and the generator form of
 the recurrence pin the bits of trace_powers and series_coeffs, the recursive
 prime generator and the per-start-vertex step count check the array prime
-search and its step bound, and seeded Haar unitaries drive the
-basis-invariance checks.  The copy caps come from
-rhozeta.quantum, so they keep one home.
+search and its step bound, seeded Haar unitaries drive the
+basis-invariance checks, and the matrix JSON encoder writes the files the
+CLI reads.  The copy caps come from rhozeta.quantum, so they keep one home.
 """
 
+import json
 from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
 
 from rhozeta.graph import PrimeClass
+from rhozeta.linalg import as_square_matrix
 from rhozeta.quantum import check_copy_caps
 
 _PROJECTOR_IDEMPOTENT_TOL = 1e-10
@@ -267,3 +269,18 @@ def primes_csv_rows(primes) -> str:
         verts = [str(p.rep[0][0])] + [str(edge[1]) for edge in p.rep]
         lines.append(f"{p.nu},{'->'.join(verts)},{p.edge_norm.real!r},{p.edge_norm.imag!r}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_to_json(matrix) -> dict:
+    """Encode a square matrix in the JSON format rhozeta.linalg.matrix_from_json reads."""
+    a = as_square_matrix(matrix)
+    n = a.shape[0]
+    entries = [[float(v.real), float(v.imag)] for v in a.reshape(n * n)]
+    return {"dim": n, "entries": entries}
+
+
+def save_matrix(path, matrix) -> None:
+    """Write a matrix JSON file for the CLI's --file option."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_json(matrix), fh)
+        fh.write("\n")

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refimpl import save_matrix
 from rhozeta import cli, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
-from rhozeta.linalg import save_matrix
+from rhozeta.graph import PRIME_LENGTH_CAP
+from rhozeta.quantum import MAX_COPIES
 
 
 def run_cli(args, capsys):
@@ -256,6 +258,23 @@ def test_validation_tol_applies_to_file_input(tmp_path, capsys):
     assert out.startswith("digraph G {") and "vertices: 2 edges: 2" in err
 
 
+def test_validation_tol_of_one_or_more_is_an_input_error(tmp_path):
+    # tol 1e300 admitted diag(1e200, -1e200): coeffs printed inf and nan after
+    # numpy's matmul warnings, and bose printed nan with exit code 0
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [-1e200, 0]]}))
+    for flags in ([], ["-W", "error::RuntimeWarning"]):
+        for argv in (["coeffs", "--N", "4"], ["bose", "--K", "2"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "rhozeta.cli", *argv, "--file", str(far),
+                 "--validation-tol", "1e300"],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, (flags, argv)
+            assert proc.stdout == "" and proc.stderr.startswith("error:"), proc.stderr
+
+
 # -- curve ----------------------------------------------------------------------
 
 def test_curve_plus_matches_geometric(tmp_path, capsys):
@@ -323,6 +342,20 @@ def test_curve_large_u_underflows_to_zero(tmp_path, capsys):
     for row in rows:
         assert row[3] == "0"
         assert all(math.isfinite(float(v)) for v in row[1:3])
+
+
+def test_curve_where_u_lam_overflows_prints_the_value(tmp_path, capsys):
+    # the eigenvalue 1 + 1e-10 passes validation at the default tolerance;
+    # u*lam overflowed at u = float max and the last row printed nan,nan,0
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"dim": 2, "entries": [[1.0000000001, 0], [0, 0], [0, 0], [-1e-10, 0]]}))
+    code, out, _ = run_cli(["curve", "--file", str(over), "--u-max", "1.7976931348623157e308",
+                            "--steps", "3"], capsys)
+    assert code == 0
+    u, re, im, flag = out.splitlines()[-1].split(",")
+    assert float(u) == sys.float_info.max and flag == "0" and float(im) == 0.0
+    expected = -(1 / sys.float_info.max) / 1.0000000001
+    assert abs(float(re) - expected) <= 1e-9 * abs(expected)
 
 
 def test_curve_isotropic_surface(tmp_path, capsys):
@@ -539,6 +572,21 @@ def test_unknown_state_is_input_error(capsys):
     code, _, err = run_cli(["coeffs", "--state", "nonesuch"], capsys)
     assert code == 2
     assert "unknown state" in err
+
+
+def test_help_states_each_bound(capsys, monkeypatch):
+    # each bound in the help text is read from the constant that enforces it
+    monkeypatch.setenv("COLUMNS", "200")
+    caps = {"coeffs": ("--N", cli._MAX_COEFF_ORDER), "primes": ("--L", PRIME_LENGTH_CAP),
+            "bose": ("--K", MAX_COPIES)}
+    for command in ("graph", "coeffs", "curve", "primes", "bose"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--validation-tol VALIDATION_TOL validation tolerance in (0, 1)" in text, command
+        if command in caps:
+            flag, cap = caps[command]
+            assert f"(<= {cap})" in text.split(f"{flag} {flag[2:]} ")[1].split(" --")[0], command
 
 
 def test_builtin_state_registry_is_complete():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from refimpl import random_unitary, trace_powers_sequential
+from refimpl import matrix_to_json, random_unitary, save_matrix, trace_powers_sequential
 from rhozeta import linalg
 from rhozeta.errors import (
     CapExceeded,
@@ -17,13 +17,10 @@ from rhozeta.errors import (
 from rhozeta.linalg import (
     POWER_BLOCK,
     DensityMatrix,
-    eig_hermitian,
     load_matrix,
     matrix_from_json,
-    matrix_to_json,
     partial_trace,
     random_density,
-    save_matrix,
     trace_powers,
     validate_density,
 )
@@ -85,13 +82,12 @@ def test_validate_error_reports_magnitude():
         validate_density(np.eye(2))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, 1.0, 1e300])
 def test_validate_rejects_bad_tolerance(tol):
-    # a NaN tolerance compares false both ways and would pass every check
+    # a NaN tolerance compares false both ways and would pass every check; a
+    # tolerance of 1 or more admits matrices far from any state
     with pytest.raises(ValueError, match="finite and positive"):
         validate_density(np.array([[0, 1], [0, 0]]), tol)
-    with pytest.raises(ValueError, match="finite and positive"):
-        eig_hermitian(PLUS, tol)
 
 
 # -- trace_powers -------------------------------------------------------------
@@ -245,43 +241,51 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(bell_density(), (3, 2), keep="B")
 
 
-# -- eig_hermitian ------------------------------------------------------------
+# -- spectrum -----------------------------------------------------------------
 
 def test_eig_maximally_mixed():
-    assert np.allclose(eig_hermitian(MAXMIXED2), [0.5, 0.5], atol=1e-14)
+    assert np.allclose(validate_density(MAXMIXED2).eigenvalues, [0.5, 0.5], atol=1e-14)
 
 
 def test_eig_rank_one_projector():
-    assert np.allclose(eig_hermitian(PLUS), [0.0, 1.0], atol=1e-12)
+    assert np.allclose(validate_density(PLUS).eigenvalues, [0.0, 1.0], atol=1e-12)
 
 
 def test_eig_ghz_reduction():
     ghz = np.zeros(8, dtype=complex)
     ghz[[0, 7]] = 1 / math.sqrt(2)
     reduced = partial_trace(validate_density(np.outer(ghz, ghz.conj())), (2, 4), keep="B")
-    assert np.allclose(eig_hermitian(reduced.matrix), [0, 0, 0.5, 0.5], atol=1e-12)
+    assert np.allclose(reduced.eigenvalues, [0, 0, 0.5, 0.5], atol=1e-12)
 
 
 def test_eig_matches_numpy_oracle():
+    # bit for bit: the spectrum is eigvalsh of the halved Hermitian part
     rng = np.random.default_rng(3)
     for dim in (2, 3, 5, 9, 16):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        assert np.allclose(eig_hermitian(h), np.linalg.eigvalsh(h), atol=1e-11)
+        w = g @ g.conj().T
+        a = w / np.trace(w).real
+        expected = np.linalg.eigvalsh(a / 2 + a.conj().T / 2)
+        assert validate_density(a).eigenvalues.tobytes() == expected.tobytes(), dim
 
 
 def test_eig_sums_match_traces():
     for seed in range(10):
         rho = random_density(2 + seed % 4, seed)
-        lam = eig_hermitian(rho.matrix)
+        lam = rho.eigenvalues
         p = trace_powers(rho, 2)
         assert abs(lam.sum() - p[0]) < 1e-10
         assert abs((lam ** 2).sum() - p[1]) < 1e-10
 
 
 def test_eig_rejects_non_hermitian():
+    # Hermiticity is checked before the trace, and the trace before the spectrum
     with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0, 1], [0, 0]]))
+        validate_density(np.array([[0.5, 1], [0, 0.5]]))
+    with pytest.raises(NotHermitian):
+        validate_density(np.array([[3, 1], [0, -1]]))
+    with pytest.raises(NotUnitTrace):
+        validate_density(np.diag([3.0, -1.0]))
 
 
 # -- random_unitary / random_density ------------------------------------------

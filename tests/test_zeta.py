@@ -1,6 +1,8 @@
 """Tests for the series, Euler product, rational form, and separability verdicts."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,14 @@ from rhozeta.errors import (
     IncompletePrimes,
     InsufficientPowerSums,
 )
-from rhozeta.graph import PrimeClasses, enumerate_primes, graph_from_density
-from rhozeta.linalg import partial_trace, random_density, trace_powers, validate_density
+from rhozeta.graph import PRIME_LENGTH_CAP, PrimeClasses, enumerate_primes, graph_from_density
+from rhozeta.linalg import (
+    ZERO_EIGENVALUE_TOL,
+    partial_trace,
+    random_density,
+    trace_powers,
+    validate_density,
+)
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
     ZetaSeries,
@@ -146,8 +154,12 @@ def test_euler_single_prime_strides_exactly():
 
 
 def test_euler_rejects_order_beyond_cap():
-    with pytest.raises(IncompletePrimes):
-        euler_product_coeffs([], 15)
+    # classes enumerated to the cap say nothing of the next length
+    cap = PRIME_LENGTH_CAP
+    primes = enumerate_primes(graph_from_density(MAXMIXED2), cap)
+    assert euler_product_coeffs(primes, cap).coeffs[cap] > 0
+    with pytest.raises(IncompletePrimes, match=f"order {cap + 1} exceeds the length {cap}"):
+        euler_product_coeffs(primes, cap + 1)
 
 
 def test_euler_rejects_order_beyond_enumerated_length():
@@ -238,7 +250,8 @@ def test_singularity_eigenvalue_bijection():
     for seed in range(10):
         rho = random_density(2 + seed % 4, 50 + seed)
         rational = singularities(rho)
-        assert sum(mult for _, mult in rational.singularities) == rho.rank()
+        rank = int(np.sum(rho.eigenvalues > ZERO_EIGENVALUE_TOL))
+        assert sum(mult for _, mult in rational.singularities) == rank
         expanded = []
         for u, mult in rational.singularities:
             expanded.extend([1.0 / u] * mult)
@@ -271,6 +284,29 @@ def test_zeta_beyond_float_range_is_singular():
     # 64 + 2e-6 is outside the 1e-6 pole distance, but (1 - u/64)^-64 ~ e^1106
     with pytest.raises(AtSingularity):
         zeta_eval(rational, 64 + 2e-6)
+
+
+def _closed_form(eigenvalues, u):
+    """1/prod(1 - u*lam) in exact rationals, rounded once per part."""
+    re, im = Fraction(1), Fraction(0)
+    for lam in map(Fraction, eigenvalues):
+        a, b = 1 - Fraction(u.real) * lam, -Fraction(u.imag) * lam
+        re, im = re * a - im * b, re * b + im * a
+    norm = re * re + im * im
+    return complex(float(re / norm), float(-im / norm))
+
+
+def test_zeta_eval_where_u_lam_overflows_matches_closed_form():
+    # for lam > 1, u*lam overflowed at u = +-float max and the value came out
+    # nan; for complex u, abs() of the finite factor raised OverflowError
+    big = sys.float_info.max
+    above_one = singularities(validate_density(np.diag([1.0000000001, -1e-10])))
+    plus = singularities(builtin_state("plus"))
+    for rational in (above_one, plus):
+        for u in (big, -big, complex(big, big), complex(-big, big), complex(big, -big)):
+            value = zeta_eval(rational, u)
+            expected = _closed_form(rational.eigenvalues, complex(u))
+            assert abs(value - expected) <= 1e-12 * abs(expected), (rational, u, value)
 
 
 # -- separability verdicts --------------------------------------------------------------
