@@ -23,6 +23,7 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     DensityMatrix,
     load_matrix,
     trace_powers,
@@ -46,7 +47,6 @@ from .zeta import (
 
 # Size caps, checked before any state is built or array allocated.
 _MAX_COEFF_ORDER = 64
-_MAX_RANDOM_DIM = 128
 _MAX_CURVE_ROWS = 100_000
 
 
@@ -57,10 +57,8 @@ def _check_args(args) -> None:
     checks them right after loading the state.
     """
     tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
-    if not all(0 < tol < math.inf for tol in tols):
-        raise ValueError("tolerances must be finite and positive")
-    if not args.validation_tol < 1:
-        raise ValueError("the validation tolerance must be finite and positive, below 1")
+    if not all(0 < tol < 1 for tol in tols):
+        raise ValueError("tolerances must be finite and positive, below 1")
     if args.command == "graph" and not 0 <= args.zero_tol < math.inf:
         raise ValueError("zero tolerance must be finite and nonnegative")
     if args.command == "coeffs":
@@ -83,8 +81,8 @@ def _check_args(args) -> None:
         rows = args.steps * (args.p_steps or 1)
         if rows > _MAX_CURVE_ROWS:
             raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
-    if args.state == "random" and args.dim > _MAX_RANDOM_DIM:
-        raise CapExceeded(f"random state dim {args.dim} exceeds cap {_MAX_RANDOM_DIM}")
+    if args.state == "random" and args.dim > MAX_DIM:
+        raise CapExceeded(f"random state dim {args.dim} exceeds cap {MAX_DIM}")
 
 
 def _load_state(args) -> DensityMatrix:
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--N", type=int, default=12,
                           help=f"highest coefficient order (<= {_MAX_COEFF_ORDER})")
     p_coeffs.add_argument("--tol", type=float, default=DEFAULT_SEPARABILITY_TOL,
-                          help="separability tolerance")
+                          help="separability tolerance in (0, 1)")
     p_coeffs.add_argument("--pure-bipartite", action="store_true",
                           help="assert the state is a reduced pure bipartite state")
 

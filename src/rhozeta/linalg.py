@@ -27,10 +27,10 @@ ZERO_EIGENVALUE_TOL = 1e-12
 #: by rho^POWER_BLOCK.
 POWER_BLOCK = 8
 
-#: Caps on a matrix JSON input, checked before it is parsed or decoded.
-#: trace_powers holds about (POWER_BLOCK + 2) * dim^2 complex entries.
+#: Caps on a matrix JSON input (MAX_DIM also on random states), checked before it
+#: is parsed or decoded.  trace_powers holds about (POWER_BLOCK + 2) * dim^2 complex entries.
 MAX_FILE_BYTES = 32 * 2**20
-MAX_FILE_DIM = 512
+MAX_DIM = 512
 
 
 def as_square_matrix(matrix) -> np.ndarray:
@@ -184,8 +184,8 @@ def matrix_from_json(obj) -> np.ndarray:
     n = obj["dim"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("'dim' must be a positive integer")
-    if n > MAX_FILE_DIM:
-        raise CapExceeded(f"matrix dim {n} exceeds cap {MAX_FILE_DIM}")
+    if n > MAX_DIM:
+        raise CapExceeded(f"matrix dim {n} exceeds cap {MAX_DIM}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise DimensionMismatch(

@@ -238,8 +238,8 @@ def is_separable_by_coeffs(
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if not 0 < tol < inf:
-        raise ValueError("tol must be finite and positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must be finite and positive, below 1")
     for n, c_n in enumerate(_newton_coeffs(trace_powers(rho_b, order)), start=1):
         if abs(c_n - 1.0) > tol:
             return SeparabilityVerdict(
@@ -258,8 +258,8 @@ def is_separable_by_singularity(
     pure_bipartite: bool = False,
 ) -> SeparabilityVerdict:
     """Singularity criterion: separable iff the only pole is u = 1, simple."""
-    if not 0 < tol < inf:
-        raise ValueError("tol must be finite and positive")
+    if not 0 < tol < 1:
+        raise ValueError("tol must be finite and positive, below 1")
     rational = singularities(rho_b)
     sing = rational.singularities
     if len(sing) == 1 and sing[0][1] == 1 and abs(sing[0][0] - 1.0) <= tol:

@@ -8,7 +8,9 @@ the recurrence pin the bits of trace_powers and series_coeffs, the recursive
 prime generator and the per-start-vertex step count check the array prime
 search and its step bound, seeded Haar unitaries drive the
 basis-invariance checks, and the matrix JSON encoder writes the files the
-CLI reads.  The copy caps come from rhozeta.quantum, so they keep one home.
+CLI reads.  The gather and the dense operators cost d^k and k!, more than the
+package's oracle, so they keep their own caps, DENSE_MAX_COPIES and
+DENSE_MAX_DIM on d^k.
 """
 
 import json
@@ -17,13 +19,28 @@ from math import comb, factorial
 
 import numpy as np
 
+from rhozeta.errors import CapExceeded
 from rhozeta.graph import PrimeClass
 from rhozeta.linalg import as_square_matrix
-from rhozeta.quantum import check_copy_caps
 
+#: Caps of the dense references: k copies, and d^k basis tuples.
+DENSE_MAX_COPIES = 5
+DENSE_MAX_DIM = 4096
 _PROJECTOR_IDEMPOTENT_TOL = 1e-10
 _PROJECTOR_HERMITIAN_TOL = 1e-12
 _PROJECTOR_TRACE_TOL = 1e-8
+
+
+def check_dense_caps(d: int, k: int) -> int:
+    """Return d^k, or raise if k copies of dimension d exceed the dense caps."""
+    if k < 1 or d < 1:
+        raise ValueError("need d >= 1 and k >= 1")
+    if k > DENSE_MAX_COPIES:
+        raise CapExceeded(f"k={k} exceeds cap {DENSE_MAX_COPIES}")
+    n = d ** k
+    if n > DENSE_MAX_DIM:
+        raise CapExceeded(f"d^k={n} exceeds cap {DENSE_MAX_DIM}")
+    return n
 
 
 def _digits(d: int, k: int) -> np.ndarray:
@@ -39,7 +56,7 @@ def acceptance_gather(rho, k: int) -> float:
     gathering a d^k x k table of entries from the digit table, so the cost
     is O(k! k d^k) time and O(k d^k) memory.
     """
-    check_copy_caps(rho.dim, k)
+    check_dense_caps(rho.dim, k)
     digits = _digits(rho.dim, k)
     total = 0j
     for perm in permutations(range(k)):
@@ -65,7 +82,7 @@ def permutation_operator(d: int, k: int, perm) -> np.ndarray:
     position perm^{-1}(m), so that composition of permutations matches
     matrix multiplication.
     """
-    n = check_copy_caps(d, k)
+    n = check_dense_caps(d, k)
     perm = tuple(perm)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
@@ -83,7 +100,7 @@ def symmetric_projector(d: int, k: int) -> np.ndarray:
     construction: Hermiticity, idempotence, and trace equal to the
     symmetric-subspace dimension binom(d+k-1, k).
     """
-    n = check_copy_caps(d, k)
+    n = check_dense_caps(d, k)
     digits = _digits(d, k)
     columns = np.arange(n)
     proj = np.zeros((n, n), dtype=complex)

@@ -18,7 +18,8 @@ from rhozeta.graph import (
     graph_from_density,
 )
 from rhozeta.linalg import random_density, trace_powers, validate_density
-from rhozeta.quantum import MAX_COPIES, MAX_PROJECTOR_DIM, acceptance_probability
+from rhozeta.errors import CapExceeded
+from rhozeta.quantum import MAX_COPIES, acceptance_probability, check_copy_caps
 from rhozeta.zeta import euler_product_coeffs, series_coeffs, singularities
 
 BUILTIN_NAMES = (
@@ -127,8 +128,13 @@ def test_criterion_06_three_route_agreement():
 
 
 def _copy_counts(dim):
+    """Copy counts 1..K, K the largest the oracle's caps admit at this dimension."""
     k = 1
-    while k + 1 <= MAX_COPIES and dim ** (k + 1) <= MAX_PROJECTOR_DIM:
+    while k < MAX_COPIES:
+        try:
+            check_copy_caps(dim, k + 1)
+        except CapExceeded:
+            break
         k += 1
     return range(1, k + 1)
 
@@ -144,7 +150,7 @@ def test_criterion_07_projector_oracle():
             diff = abs(acceptance_probability(rho, k) - series[k])
             if diff > 1e-9:
                 failures.append((name, k, diff))
-    report(7, "projector trace equals series coefficient to 1e-9 (built-ins + 20 random)", failures)
+    report(7, "acceptance equals series coefficient to 1e-9 up to the copy caps (built-ins + 20 random)", failures)
 
 
 def test_criterion_08_basis_invariance():

@@ -17,6 +17,7 @@ from refimpl import save_matrix
 from rhozeta import cli, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.graph import PRIME_LENGTH_CAP
+from rhozeta.linalg import MAX_DIM
 from rhozeta.quantum import MAX_COPIES
 
 
@@ -207,13 +208,15 @@ def test_coeffs_order_cap(capsys):
 
 def test_nan_tolerances_are_input_errors(tmp_path, capsys):
     # NaN compares false against every bound, so it used to pass the checks
-    # and give a separable verdict for the Bell reduction
+    # and give a separable verdict for the Bell reduction; so did --tol 1,
+    # since every c_n lies in [0, 1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [1, 0], [0, 0], [0.5, 0]]}))
     for args in (["coeffs", "--state", "bell-reduced", "--tol", "nan"],
                  ["coeffs", "--file", str(bad), "--validation-tol", "nan"],
                  ["graph", "--state", "plus", "--zero-tol", "nan"],
-                 ["coeffs", "--state", "plus", "--tol", "inf"]):
+                 ["coeffs", "--state", "plus", "--tol", "inf"],
+                 ["coeffs", "--state", "bell-reduced", "--N", "4", "--tol", "1"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert out == "" and "ValueError" in err and "finite" in err
@@ -433,14 +436,14 @@ def test_curve_row_cap(tmp_path, capsys):
         assert out_text == "" and "CapExceeded" in err
 
 
-def test_random_dim_cap(tmp_path, capsys):
-    out = tmp_path / "g.dot"
-    code, _, err = run_cli(["graph", "--state", "random", "--dim", "128", "--out", str(out)], capsys)
+def test_random_dim_cap(capsys):
+    # random states share the --file dim cap
+    code, out, _ = run_cli(["coeffs", "--state", "random", "--dim", str(MAX_DIM), "--N", "1"], capsys)
     assert code == 0
-    assert "vertices: 128" in err
-    code, _, err = run_cli(["graph", "--state", "random", "--dim", "129"], capsys)
+    assert out.startswith("n,c_n\n1,")
+    code, out, err = run_cli(["coeffs", "--state", "random", "--dim", str(MAX_DIM + 1), "--N", "1"], capsys)
     assert code == 2
-    assert "CapExceeded" in err
+    assert out == "" and "CapExceeded" in err
 
 
 # -- primes ---------------------------------------------------------------------
@@ -521,19 +524,20 @@ def test_bose_random_qutrit(tmp_path, capsys):
 
 
 def test_bose_copy_cap(capsys):
-    code, _, _ = run_cli(["bose", "--state", "plus", "--K", "5"], capsys)
+    code, _, _ = run_cli(["bose", "--state", "plus", "--K", "12"], capsys)
     assert code == 0
-    code, out, err = run_cli(["bose", "--state", "plus", "--K", "6"], capsys)
+    code, out, err = run_cli(["bose", "--state", "plus", "--K", "13"], capsys)
     assert code == 2
     assert out == "" and "CapExceeded" in err
 
 
 def test_bose_checks_copy_dimension_before_work(monkeypatch, capsys):
     def refuse(rho, k):
-        raise AssertionError(f"acceptance_probability(k={k}) ran before the d^K cap check")
+        raise AssertionError(f"acceptance_probability(k={k}) ran before the copy cap check")
 
     monkeypatch.setattr(cli, "acceptance_probability", refuse)
-    code, out, err = run_cli(["bose", "--state", "random", "--dim", "8", "--K", "5"], capsys)
+    # K = 1 and 2 fit the table cap at dim 128, K = 3 does not
+    code, out, err = run_cli(["bose", "--state", "random", "--dim", "128", "--K", "3"], capsys)
     assert code == 2
     assert out == "" and "CapExceeded" in err
 

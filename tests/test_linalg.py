@@ -342,7 +342,7 @@ def test_json_rejects_malformed_entry():
 
 
 def test_json_dim_cap_is_inclusive(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_FILE_DIM", 2)
+    monkeypatch.setattr(linalg, "MAX_DIM", 2)
     assert matrix_from_json(matrix_to_json(np.eye(2) / 2)).shape == (2, 2)
     with pytest.raises(CapExceeded):
         matrix_from_json({"dim": 3, "entries": []})

@@ -5,11 +5,20 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refimpl import acceptance_gather, permutation_operator, symmetric_projector
+from refimpl import (
+    DENSE_MAX_COPIES,
+    DENSE_MAX_DIM,
+    acceptance_gather,
+    permutation_operator,
+    symmetric_projector,
+)
 from rhozeta.errors import CapExceeded, InvalidParameter
 from rhozeta.linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     ZERO_EIGENVALUE_TOL,
     DensityMatrix,
     partial_trace,
@@ -20,9 +29,9 @@ from rhozeta.linalg import (
 from rhozeta.quantum import (
     BUILTIN_STATES,
     MAX_COPIES,
-    MAX_PROJECTOR_DIM,
     acceptance_probability,
     builtin_state,
+    check_copy_caps,
     isotropic_state,
     sigma_state,
 )
@@ -134,8 +143,38 @@ def test_caps_enforced():
         permutation_operator(2, 6, (0, 1, 2, 3, 4, 5))
     with pytest.raises(CapExceeded):
         symmetric_projector(8, 5)
-    with pytest.raises(CapExceeded):
-        acceptance_probability(validate_density(np.eye(16) / 16), 4)
+    # C(94, 3) 2^3 = 1,072,352 table entries; k = 13 exceeds MAX_COPIES
+    with pytest.raises(CapExceeded, match="table of 1072352 entries"):
+        acceptance_probability(validate_density(np.eye(92) / 92), 3)
+    with pytest.raises(CapExceeded, match=f"k=13 exceeds cap {MAX_COPIES}"):
+        acceptance_probability(builtin_state("plus"), 13)
+
+
+def test_copy_caps_admit_every_input_of_the_dense_model():
+    # the caps used to be k <= 5 and d^k <= 4096; every such input still passes
+    for k in range(1, DENSE_MAX_COPIES + 1):
+        for d in range(1, DENSE_MAX_DIM + 1):
+            if d ** k > DENSE_MAX_DIM:
+                break
+            assert check_copy_caps(d, k) is None, (d, k)
+
+
+def _fits(d, k):
+    try:
+        check_copy_caps(d, k)
+    except CapExceeded:
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(d=st.integers(1, MAX_DIM + 1), k=st.integers(1, MAX_COPIES + 1))
+def test_copy_caps_are_monotone(d, k):
+    # bose checks its largest K once, up front, for every k <= K
+    if _fits(d, k):
+        assert all(_fits(e, j) for e in range(1, d + 1) for j in range(1, k + 1)), (d, k)
+    else:
+        assert not _fits(d + 1, k) and not _fits(d, k + 1), (d, k)
 
 
 # -- symmetric projector ---------------------------------------------------------------
@@ -185,11 +224,12 @@ def test_acceptance_maximally_mixed_three_copies():
 
 
 def test_acceptance_matches_series_coefficients():
-    for seed in range(6):
-        rho = random_density(2 + seed % 2, 600 + seed)
-        series = series_coeffs(trace_powers(rho, 4), 4)
-        for k in range(1, 5):
-            assert abs(acceptance_probability(rho, k) - series[k]) < 1e-9
+    # small states, then the edge of the copy caps at each k >= 2 with d <= MAX_DIM
+    cases = [(random_density(2 + seed % 2, 600 + seed), k) for seed in range(6) for k in range(1, 5)]
+    cases += [(random_density(_max_dim(k), 900 + k), k) for k in range(2, MAX_COPIES + 1)]
+    for rho, k in cases:
+        c_k = series_coeffs(trace_powers(rho, k), k)[k]
+        assert abs(acceptance_probability(rho, k) - c_k) <= 1e-12 * c_k, (rho.dim, k)
 
 
 def test_acceptance_matches_dense_projector():
@@ -217,17 +257,18 @@ def _diagonal_state(weights) -> DensityMatrix:
 
 
 def _max_copies(d):
-    return max(k for k in range(1, MAX_COPIES + 1) if d ** k <= MAX_PROJECTOR_DIM)
+    return max(k for k in range(1, MAX_COPIES + 1) if _fits(d, k))
 
 
 def _max_dim(k):
-    return max(d for d in range(1, MAX_PROJECTOR_DIM + 1) if d ** k <= MAX_PROJECTOR_DIM)
+    return max(d for d in range(1, MAX_DIM + 1) if _fits(d, k))
 
 
 def test_acceptance_matches_gather():
     states = [random_density(d, 800 + d) for d in range(1, 10)]
     states += [builtin_state(name) for name in BUILTIN_STATES]
-    cases = [(rho, k) for rho in states for k in range(1, _max_copies(rho.dim) + 1)]
+    cases = [(rho, k) for rho in states for k in range(1, DENSE_MAX_COPIES + 1)
+             if rho.dim ** k <= DENSE_MAX_DIM]
     cases += [(random_density(16, 816), 3), (random_density(64, 864), 2)]
     cases += [(_diagonal_state(np.random.default_rng(4096).dirichlet(np.ones(4096))), 1)]
     for rho, k in cases:
@@ -236,11 +277,28 @@ def test_acceptance_matches_gather():
 
 def test_acceptance_maximally_mixed_is_symmetric_dimension():
     # tr[P_sym (I/d)^{(x)k}] = C(d+k-1, k) / d^k: every multiset counted once
-    cases = {(d, k) for d in range(1, 6) for k in range(1, MAX_COPIES + 1)}
-    cases |= {(_max_dim(k), k) for k in range(1, MAX_COPIES + 1)}
+    # the edges of the copy caps for k >= 2 with d <= MAX_DIM; k = 1 stops at
+    # d = 4096, since its edge is a 524,288-dimensional matrix
+    cases = {(d, k) for d in range(1, 6) for k in range(1, _max_copies(d) + 1)}
+    cases |= {(_max_dim(k), k) for k in range(2, MAX_COPIES + 1)} | {(4096, 1)}
     for d, k in sorted(cases):
         rho = _diagonal_state(np.full(d, 1.0 / d)) if d > 64 else validate_density(np.eye(d) / d)
         assert abs(acceptance_probability(rho, k) - math.comb(d + k - 1, k) / d ** k) <= 1e-12, (d, k)
+
+
+@st.composite
+def _admitted_copies(draw):
+    d = draw(st.integers(1, 6))
+    return d, draw(st.integers(1, _max_copies(d))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(case=_admitted_copies())
+def test_acceptance_matches_series_within_caps(case):
+    d, k, seed = case
+    rho = random_density(d, seed)
+    c_k = series_coeffs(trace_powers(rho, k), k)[k]
+    assert abs(acceptance_probability(rho, k) - c_k) <= 1e-12 * c_k, case
 
 
 def test_acceptance_monotone_in_copies():

@@ -351,9 +351,10 @@ def test_ghz_reduction_entangled_by_singularity():
     assert abs(verdict.value - 2.0) < 1e-8
 
 
-@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf, 1.0])
 def test_verdicts_reject_bad_tolerance(tol):
-    # with tol = NaN every comparison is false: the Bell reduction would pass
+    # with tol = NaN every comparison is false, and with tol >= 1 every
+    # |c_n - 1| <= 1 holds: either way the Bell reduction would pass
     with pytest.raises(ValueError, match="finite and positive"):
         is_separable_by_coeffs(MAXMIXED2, 2, tol)
     with pytest.raises(ValueError, match="finite and positive"):
