@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import AtSingularity, CapExceeded, RhoZetaError
 from .graph import (
-    DEFAULT_ZERO_TOL,
     PRIME_LENGTH_CAP,
     enumerate_primes,
     export_dot,
@@ -23,7 +22,6 @@ from .graph import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    MAX_DIM,
     DensityMatrix,
     load_matrix,
     trace_powers,
@@ -59,8 +57,6 @@ def _check_args(args) -> None:
     tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
     if not all(0 < tol < 1 for tol in tols):
         raise ValueError("tolerances must be finite and positive, below 1")
-    if args.command == "graph" and not 0 <= args.zero_tol < math.inf:
-        raise ValueError("zero tolerance must be finite and nonnegative")
     if args.command == "coeffs":
         if args.N > _MAX_COEFF_ORDER:
             raise RhoZetaError(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
@@ -81,8 +77,6 @@ def _check_args(args) -> None:
         rows = args.steps * (args.p_steps or 1)
         if rows > _MAX_CURVE_ROWS:
             raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
-    if args.state == "random" and args.dim > MAX_DIM:
-        raise CapExceeded(f"random state dim {args.dim} exceeds cap {MAX_DIM}")
 
 
 def _load_state(args) -> DensityMatrix:
@@ -100,7 +94,7 @@ def _write_output(path: str, text: str) -> None:
 
 
 def cmd_graph(args) -> int:
-    g = graph_from_density(_load_state(args), args.zero_tol)
+    g = graph_from_density(_load_state(args))
     _write_output(args.out, export_dot(g))
     print(f"vertices: {g.n_vertices} edges: {g.n_edges}", file=sys.stderr)
     return 0
@@ -202,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="export the weighted digraph as DOT")
     _add_state_arguments(p_graph)
-    p_graph.add_argument("--zero-tol", type=float, default=DEFAULT_ZERO_TOL)
 
     p_coeffs = sub.add_parser("coeffs", help="series coefficients and separability verdict")
     _add_state_arguments(p_coeffs)

@@ -22,22 +22,18 @@ array search and the Euler expansion give the same floats as a loop over
 Python numbers.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllLoops, CapExceeded
-from .linalg import DensityMatrix, as_square_matrix, validate_density
+from .linalg import ZERO_TOL, DensityMatrix, as_square_matrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
 
 #: Hard cap on the bound _search_steps puts on the prime search.
 MAX_SEARCH_STEPS = 5_000_000
-
-#: Entries with magnitude at or below this produce no edge.
-DEFAULT_ZERO_TOL = 1e-12
 
 
 class WeightedDigraph:
@@ -105,17 +101,15 @@ class LaplacianWeights:
         self.magnitudes = magnitudes
 
 
-def graph_from_density(rho: DensityMatrix, zero_tol: float = DEFAULT_ZERO_TOL) -> WeightedDigraph:
+def graph_from_density(rho: DensityMatrix) -> WeightedDigraph:
     """Build the weighted digraph of a density matrix.
 
     Vertices 1..n, one per basis index; edge (i, j) with weight rho_ij
-    whenever |rho_ij| exceeds zero_tol.  Both directions appear when both
+    whenever |rho_ij| exceeds ZERO_TOL.  Both directions appear when both
     entries are nonzero.
     """
-    if not 0 <= zero_tol < math.inf:
-        raise ValueError("zero_tol must be finite and nonnegative")
     a = rho.matrix
-    return WeightedDigraph(np.where(np.abs(a) > zero_tol, a, 0))
+    return WeightedDigraph(np.where(np.abs(a) > ZERO_TOL, a, 0))
 
 
 def density_from_weighted_graph(g: LaplacianWeights) -> DensityMatrix:

@@ -20,8 +20,9 @@ from .errors import CapExceeded, DimensionMismatch, NotHermitian, NotPSD, NotUni
 #: Default absolute tolerance for density-matrix validation.
 DEFAULT_TOL = 1e-9
 
-#: Eigenvalues with magnitude at or below this are treated as zero.
-ZERO_EIGENVALUE_TOL = 1e-12
+#: A magnitude at or below this counts as zero: such an entry makes no graph
+#: edge, and such an eigenvalue makes no pole of the zeta function.
+ZERO_TOL = 1e-12
 
 #: Block size of trace_powers: it forms rho^1..rho^POWER_BLOCK, then steps
 #: by rho^POWER_BLOCK.
@@ -164,9 +165,11 @@ def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:
-    """Seeded full-rank random density matrix (normalized Wishart sample)."""
+    """Seeded full-rank random density matrix (normalized Wishart sample), dim <= MAX_DIM."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
+    if dim > MAX_DIM:
+        raise CapExceeded(f"random state dim {dim} exceeds cap {MAX_DIM}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T

@@ -24,6 +24,8 @@ from .linalg import DensityMatrix, partial_trace, random_density, validate_densi
 #: Caps of the acceptance oracle.  Its recurrence holds a table of C(d+k-1, k) 2^k
 #: complex entries (2^20 are 16 MiB) and spends k/2 multiply-adds per entry; each cap
 #: edge with d <= 512, (512, 2) to (3, 12), runs in under 50 ms on a 2-vCPU Xeon.
+#: The cap bounds the table only: the gather of k^2 C(d+k-1, k) entries of rho comes
+#: on top, so the traced peak reaches 40.7 MiB at (91, 3) and 32.5 MiB at (33, 4).
 MAX_COPIES = 12
 MAX_PERMANENT_TABLE = 2**20
 

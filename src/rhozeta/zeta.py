@@ -23,7 +23,7 @@ from .errors import (
     NonRealCoefficient,
 )
 from .graph import PrimeClasses, complex_product
-from .linalg import ZERO_EIGENVALUE_TOL, DensityMatrix, trace_powers
+from .linalg import ZERO_TOL, DensityMatrix, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
 MULTIPLICITY_RTOL = 1e-8
@@ -174,7 +174,7 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
     singularities are their reciprocals, merged into multiplicities when
     they agree within 1e-8 relative, ascending.
     """
-    eigenvalues = tuple(float(lam) for lam in rho.eigenvalues if lam > ZERO_EIGENVALUE_TOL)
+    eigenvalues = tuple(float(lam) for lam in rho.eigenvalues if lam > ZERO_TOL)
     locations = sorted(1.0 / lam for lam in eigenvalues)
     groups = []
     for u in locations:

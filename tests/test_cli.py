@@ -52,6 +52,21 @@ def test_graph_maxmixed_loops(tmp_path, capsys):
     assert "v1 -> v2" not in out.read_text()
 
 
+@pytest.mark.parametrize("off_diagonal,edges,two_cycles", [(1e-13, 2, []), (1e-11, 4, ["1->2->1"])])
+def test_graph_and_primes_share_the_zero_threshold(tmp_path, capsys, off_diagonal, edges, two_cycles):
+    # entries at or below linalg.ZERO_TOL make no edge, in the exported graph
+    # and in the one whose prime classes the Euler route multiplies
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [off_diagonal, 0],
+                                                      [off_diagonal, 0], [0.5, 0]]}))
+    code, _, err = run_cli(["graph", "--file", str(path)], capsys)
+    assert code == 0
+    assert f"edges: {edges}" in err
+    code, out, _ = run_cli(["primes", "--file", str(path), "--L", "2"], capsys)
+    assert code == 0
+    assert [rep for nu, rep, *_ in csv.reader(io.StringIO(out)) if nu == "2"] == two_cycles
+
+
 def test_graph_rejects_non_hermitian_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}))
@@ -214,7 +229,6 @@ def test_nan_tolerances_are_input_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"dim": 2, "entries": [[0.5, 0], [1, 0], [0, 0], [0.5, 0]]}))
     for args in (["coeffs", "--state", "bell-reduced", "--tol", "nan"],
                  ["coeffs", "--file", str(bad), "--validation-tol", "nan"],
-                 ["graph", "--state", "plus", "--zero-tol", "nan"],
                  ["coeffs", "--state", "plus", "--tol", "inf"],
                  ["coeffs", "--state", "bell-reduced", "--N", "4", "--tol", "1"]):
         code, out, err = run_cli(args, capsys)

@@ -97,12 +97,6 @@ def test_edge_zeta_determinant_is_the_density_determinant():
             assert abs(edge - vertex) <= 1e-12 * abs(vertex), (rho, u)
 
 
-@pytest.mark.parametrize("zero_tol", [-1e-12, math.nan, math.inf])
-def test_graph_rejects_bad_zero_tolerance(zero_tol):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        graph_from_density(PLUS, zero_tol)
-
-
 # -- density_from_weighted_graph ------------------------------------------------
 
 def test_single_edge_path_graph():

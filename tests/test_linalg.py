@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rhozeta.errors import (
     NotUnitTrace,
 )
 from rhozeta.linalg import (
+    MAX_DIM,
     POWER_BLOCK,
     DensityMatrix,
     load_matrix,
@@ -309,6 +311,21 @@ def test_random_density_is_valid():
     rho = random_density(5, 21)
     assert isinstance(rho, DensityMatrix)
     assert rho.eigenvalues[0] > -1e-12
+
+
+def test_random_density_dim_cap_refuses_before_drawing():
+    # the library call shares the --file dim cap; a dim x dim draw at MAX_DIM + 1
+    # would take 4 MiB, so a small traced peak shows the refusal came first
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"random state dim {MAX_DIM + 1} exceeds cap {MAX_DIM}"):
+            random_density(MAX_DIM + 1, 0)
+        with pytest.raises(CapExceeded):
+            builtin_state("random", dim=MAX_DIM + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- matrix JSON format -------------------------------------------------------

@@ -19,7 +19,7 @@ from rhozeta.errors import CapExceeded, InvalidParameter
 from rhozeta.linalg import (
     DEFAULT_TOL,
     MAX_DIM,
-    ZERO_EIGENVALUE_TOL,
+    ZERO_TOL,
     DensityMatrix,
     partial_trace,
     random_density,
@@ -88,7 +88,7 @@ def test_isotropic_zero_is_bell():
     bell = builtin_state("bell")
     iso = isotropic_state(0.0)
     assert np.allclose(iso.matrix, bell.matrix, atol=1e-12)
-    assert np.sum(iso.eigenvalues > ZERO_EIGENVALUE_TOL) == 1
+    assert np.sum(iso.eigenvalues > ZERO_TOL) == 1
 
 
 def test_isotropic_one_is_maximally_mixed():

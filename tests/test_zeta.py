@@ -15,7 +15,7 @@ from rhozeta.errors import (
 )
 from rhozeta.graph import PRIME_LENGTH_CAP, PrimeClasses, enumerate_primes, graph_from_density
 from rhozeta.linalg import (
-    ZERO_EIGENVALUE_TOL,
+    ZERO_TOL,
     partial_trace,
     random_density,
     trace_powers,
@@ -250,7 +250,7 @@ def test_singularity_eigenvalue_bijection():
     for seed in range(10):
         rho = random_density(2 + seed % 4, 50 + seed)
         rational = singularities(rho)
-        rank = int(np.sum(rho.eigenvalues > ZERO_EIGENVALUE_TOL))
+        rank = int(np.sum(rho.eigenvalues > ZERO_TOL))
         assert sum(mult for _, mult in rational.singularities) == rank
         expanded = []
         for u, mult in rational.singularities:
