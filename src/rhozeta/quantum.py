@@ -8,12 +8,16 @@ tr[P_sym rho^{(x)k}] by brute force over a basis of the symmetric
 subspace: one occupation-number basis vector per multiset alpha of k basis
 indices, whose diagonal entry of rho^{(x)k} is perm(rho[alpha, alpha]) /
 alpha! (Aaronson & Arkhipov, Theory of Computing 9, 2013, section 3).
+The permanents come from a subset recurrence run one layer of subsets per
+size, on chunks of multisets at a time, so Python issues a few numpy calls
+per layer and chunk rather than one per subset, and memory stays bounded.
 Neither the d^k x d^k projector nor the Kronecker power is ever formed.
 It is deliberately independent of the series machinery in zeta.py so the
 two can cross-check each other.
 """
 
-from itertools import chain, combinations_with_replacement
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, islice
 from math import comb, sqrt
 
 import numpy as np
@@ -21,13 +25,18 @@ import numpy as np
 from .errors import CapExceeded, InvalidParameter
 from .linalg import DensityMatrix, partial_trace, random_density, validate_density
 
-#: Caps of the acceptance oracle.  Its recurrence holds a table of C(d+k-1, k) 2^k
-#: complex entries (2^20 are 16 MiB) and spends k/2 multiply-adds per entry; each cap
-#: edge with d <= 512, (512, 2) to (3, 12), runs in under 50 ms on a 2-vCPU Xeon.
-#: The cap bounds the table only: the gather of k^2 C(d+k-1, k) entries of rho comes
-#: on top, so the traced peak reaches 40.7 MiB at (91, 3) and 32.5 MiB at (33, 4).
+#: Caps of the acceptance oracle.  Its recurrence spends k 2^(k-1) complex multiply-adds
+#: on each of the C(d+k-1, k) multisets, k/2 per entry of a C(d+k-1, k) 2^k table, so the
+#: table cap bounds work, not memory: the multisets go through in chunks, and one complex
+#: value per multiset is all that is held for the whole run.  Each cap edge, (512, 2) to
+#: (3, 12), takes 14 to 29 ms with a traced peak under 3 MiB (best of 5, 2-vCPU Xeon).
 MAX_COPIES = 12
 MAX_PERMANENT_TABLE = 2**20
+
+#: Table entries per chunk of the oracle: it takes m = _CHUNK_ENTRIES >> k multisets at
+#: a time (at least one, since this is at least 2^MAX_COPIES), so a chunk's temporaries
+#: stay under 1 MiB.
+_CHUNK_ENTRIES = 2**14
 
 
 def _superposition(dim: int, support: list) -> np.ndarray:
@@ -111,6 +120,29 @@ def check_copy_caps(d: int, k: int) -> None:
         raise CapExceeded(f"table of {entries} entries for d={d}, k={k} exceeds cap {MAX_PERMANENT_TABLE}")
 
 
+@lru_cache(maxsize=MAX_COPIES)
+def _layer_plan(k: int) -> tuple:
+    """Index arrays of the permanent recurrence on k rows, one (source, column) pair per layer.
+
+    Layer s holds the subsets S of {0..k-1} of size s, as bit masks in
+    increasing order.  For the j-th smallest member a_j of each S, in
+    member-major order (j outer), source is the position of S - {a_j} in
+    layer s-1, and column is a_j k + s - 1, the row of the k^2 x m entry
+    table that holds rho[alpha_(a_j), alpha_(s-1)].
+    """
+    masks = np.arange(1 << k)
+    bits = (masks[:, None] >> np.arange(k)) & 1
+    size = bits.sum(axis=1)
+    position = np.zeros(1 << k, dtype=np.intp)
+    plan = []
+    for s in range(1, k + 1):
+        layer = masks[size == s]
+        position[layer] = np.arange(len(layer))
+        members = np.nonzero(bits[layer])[1].reshape(len(layer), s).T
+        plan.append((position[layer ^ (1 << members)].ravel(), (members * k + s - 1).ravel()))
+    return tuple(plan)
+
+
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     """Acceptance probability of the k-copy symmetry test on rho.
 
@@ -124,28 +156,39 @@ def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     C(d+k-1, k) multisets.  alpha! is the product, over the sorted entries,
     of each entry's position within its run of equal entries.
 
-    The permanents are computed for every multiset at once by a subset
-    recurrence over rows, with columns taken in order: P[{}] = 1 and
-    P[S] = sum_{a in S} P[S - {a}] rho[alpha_a, alpha_{|S|-1}], one vector
-    multiply-add per (S, a) pair, k 2^(k-1) of them.  It has no
-    subtractions, unlike Ryser's formula, so nothing cancels.  The cost is
-    O(C(d+k-1, k) k 2^k) time and O(C(d+k-1, k) 2^k) memory.
+    The permanents come from a subset recurrence over rows, with columns
+    taken in order: P[{}] = 1 and P[S] = sum_{a in S} P[S - {a}]
+    rho[alpha_a, alpha_{|S|-1}], members a in ascending order.  It has no
+    subtractions, unlike Ryser's formula, so nothing cancels.  It runs one
+    layer per subset size s: each layer is two gathers, a product and a sum
+    over the s members of each subset, for a chunk of m multisets at once,
+    so the adds keep that order and the floats match a loop over subsets.
+    The last layer, one subset, adds its k member rows with an accumulate:
+    when m = 1 its sum would be over k lone entries, which numpy adds
+    pairwise, in another order, once k >= 8.  The cost is
+    O(C(d+k-1, k) k 2^k) time; memory is one complex value per multiset
+    plus a chunk's temporaries.
     """
     check_copy_caps(rho.dim, k)
-    flat = chain.from_iterable(combinations_with_replacement(range(rho.dim), k))
-    idx = np.fromiter(flat, dtype=np.intp).reshape(-1, k).T
-    entry = rho.matrix[idx[:, None, :], idx[None, :, :]]  # entry[a, b] = rho[alpha_a, alpha_b]
-    weight = np.ones(idx.shape[1])
-    run = np.ones(idx.shape[1])
-    for m in range(1, k):
-        run = np.where(idx[m] == idx[m - 1], run + 1.0, 1.0)
-        weight *= run
-    perm = [np.ones(idx.shape[1], dtype=complex)]
-    for rows in range(1, 1 << k):
-        column = entry[:, rows.bit_count() - 1]
-        first, *rest = (a for a in range(k) if rows >> a & 1)
-        total = perm[rows ^ 1 << first] * column[first]
-        for a in rest:
-            total += perm[rows ^ 1 << a] * column[a]
-        perm.append(total)
-    return float((perm[-1] / weight).sum().real)
+    plan = _layer_plan(k)
+    chunk = _CHUNK_ENTRIES >> k
+    multisets = combinations_with_replacement(range(rho.dim), k)
+    values = np.empty(comb(rho.dim + k - 1, k), dtype=complex)
+    for start in range(0, len(values), chunk):
+        m = min(chunk, len(values) - start)
+        idx = np.fromiter(chain.from_iterable(islice(multisets, m)), dtype=np.intp, count=m * k)
+        idx = np.ascontiguousarray(idx.reshape(m, k).T)
+        entry = rho.matrix[idx[:, None, :], idx[None, :, :]].reshape(k * k, m)
+        weight = np.ones(m)
+        run = np.ones(m)
+        for a in range(1, k):
+            run = np.where(idx[a] == idx[a - 1], run + 1.0, 1.0)
+            weight *= run
+        perm = np.ones((1, m), dtype=complex)
+        for s, (source, column) in enumerate(plan, start=1):
+            terms = np.take(perm, source, axis=0)
+            terms *= np.take(entry, column, axis=0)
+            terms = terms.reshape(s, -1, m)
+            perm = terms.sum(axis=0) if s < k else np.add.accumulate(terms, axis=0)[-1]
+        np.divide(perm[0], weight, out=values[start:start + m])
+    return float(values.sum().real)

@@ -2,9 +2,10 @@
 
 None of these is on a path the CLI runs: the per-permutation gather, the
 dense symmetric projector and permutation operators check the acceptance
-oracle's permanent sum, the partition-sum cycle index checks the series
-recurrence, the one-product-at-a-time power sums and the generator form of
-the recurrence pin the bits of trace_powers and series_coeffs, the recursive
+oracle's permanent sum, the one-subset-at-a-time recurrence pins its bits,
+the partition-sum cycle index checks the series recurrence, the
+one-product-at-a-time power sums and the generator form of the recurrence
+pin the bits of trace_powers and series_coeffs, the recursive
 prime generator and the per-start-vertex step count check the array prime
 search and its step bound, seeded Haar unitaries drive the
 basis-invariance checks, and the matrix JSON encoder writes the files the
@@ -14,7 +15,7 @@ DENSE_MAX_DIM on d^k.
 """
 
 import json
-from itertools import permutations
+from itertools import chain, combinations_with_replacement, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from rhozeta.errors import CapExceeded
 from rhozeta.graph import PrimeClass
 from rhozeta.linalg import as_square_matrix
+from rhozeta.quantum import check_copy_caps
 
 #: Caps of the dense references: k copies, and d^k basis tuples.
 DENSE_MAX_COPIES = 5
@@ -62,6 +64,35 @@ def acceptance_gather(rho, k: int) -> float:
     for perm in permutations(range(k)):
         total += np.prod(rho.matrix[digits[:, perm], digits], axis=1).sum()
     return float(total.real) / factorial(k)
+
+
+def acceptance_subsets(rho, k: int) -> float:
+    """Acceptance probability of the k-copy symmetry test, one subset of rows at a time.
+
+    The same permanent recurrence as quantum.acceptance_probability, in the
+    same order of floating-point operations, run over all C(d+k-1, k)
+    multisets at once: P[{}] = 1 and P[S] = sum_{a in S} P[S - {a}]
+    rho[alpha_a, alpha_{|S|-1}], one vector multiply-add per (S, a) pair,
+    k 2^(k-1) of them, holding all 2^k vectors.
+    """
+    check_copy_caps(rho.dim, k)
+    flat = chain.from_iterable(combinations_with_replacement(range(rho.dim), k))
+    idx = np.fromiter(flat, dtype=np.intp).reshape(-1, k).T
+    entry = rho.matrix[idx[:, None, :], idx[None, :, :]]  # entry[a, b] = rho[alpha_a, alpha_b]
+    weight = np.ones(idx.shape[1])
+    run = np.ones(idx.shape[1])
+    for m in range(1, k):
+        run = np.where(idx[m] == idx[m - 1], run + 1.0, 1.0)
+        weight *= run
+    perm = [np.ones(idx.shape[1], dtype=complex)]
+    for rows in range(1, 1 << k):
+        column = entry[:, rows.bit_count() - 1]
+        first, *rest = (a for a in range(k) if rows >> a & 1)
+        total = perm[rows ^ 1 << first] * column[first]
+        for a in rest:
+            total += perm[rows ^ 1 << a] * column[a]
+        perm.append(total)
+    return float((perm[-1] / weight).sum().real)
 
 
 def _permuted_indices(digits: np.ndarray, d: int, perm) -> np.ndarray:

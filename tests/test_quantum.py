@@ -1,6 +1,7 @@
 """Tests for reference states, permutation operators, and the symmetry test."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -12,9 +13,11 @@ from refimpl import (
     DENSE_MAX_COPIES,
     DENSE_MAX_DIM,
     acceptance_gather,
+    acceptance_subsets,
     permutation_operator,
     symmetric_projector,
 )
+from rhozeta import quantum
 from rhozeta.errors import CapExceeded, InvalidParameter
 from rhozeta.linalg import (
     DEFAULT_TOL,
@@ -273,6 +276,38 @@ def test_acceptance_matches_gather():
     cases += [(_diagonal_state(np.random.default_rng(4096).dirichlet(np.ones(4096))), 1)]
     for rho, k in cases:
         assert abs(acceptance_probability(rho, k) - acceptance_gather(rho, k)) <= 1e-14, (rho.dim, k)
+
+
+def test_acceptance_matches_subset_loop_bit_for_bit():
+    # the layered, chunked recurrence against the per-subset loop it replaced:
+    # the same floating-point operations in the same order, so == holds
+    # an input with k >= 8 whose last chunk holds one multiset, (2, 12) today
+    d, k = next((d, k) for k in range(8, MAX_COPIES + 1) for d in range(2, _max_dim(k) + 1)
+                if math.comb(d + k - 1, k) % (quantum._CHUNK_ENTRIES >> k) == 1)
+    cases = [(random_density(d, 1100 + d), k)]
+    cases += [(random_density(d, 1000 + 16 * d + k), k) for d in range(1, 7) for k in range(1, _max_copies(d) + 1)]
+    cases += [(builtin_state(name), k) for name in BUILTIN_STATES for k in range(1, _max_copies(builtin_state(name).dim) + 1)]
+    # the cap edges (512, 2), (91, 3), (33, 4), (18, 5), (12, 6), (7, 8) and (3, 12)
+    cases += [(random_density(_max_dim(k), 1200 + k), k) for k in (2, 3, 4, 5, 6, 8, 12)]
+    # a one-dimensional state: one multiset, so the last layer adds k lone entries
+    cases += [(validate_density([[1 + 3e-10]]), k) for k in range(1, MAX_COPIES + 1)]
+    for rho, k in cases:
+        assert acceptance_probability(rho, k) == acceptance_subsets(rho, k), (rho.dim, k)
+
+
+def test_acceptance_memory_is_bounded_at_cap_edges():
+    # one complex value per multiset (2 MiB at (91, 3) and (512, 2)) plus a
+    # chunk's temporaries; the per-subset loop, holding all 2^k vectors and the
+    # whole gather, peaks at 22 to 41 MiB on these
+    for d, k in ((91, 3), (33, 4), (512, 2)):
+        rho = random_density(d, 1300 + k)
+        tracemalloc.start()
+        try:
+            acceptance_probability(rho, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, (d, k, peak)
 
 
 def test_acceptance_maximally_mixed_is_symmetric_dimension():
