@@ -48,35 +48,9 @@ _MAX_COEFF_ORDER = 64
 _MAX_CURVE_ROWS = 100_000
 
 
-def _check_args(args) -> None:
-    """Validate a parsed invocation; raises before any work is done.
-
-    The copy caps of `bose` depend on the state's dimension, so cmd_bose
-    checks them right after loading the state.
-    """
-    tols = [args.validation_tol] + ([args.tol] if args.command == "coeffs" else [])
-    if not all(0 < tol < 1 for tol in tols):
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < 1:
         raise ValueError("tolerances must be finite and positive, below 1")
-    if args.command == "coeffs":
-        if args.N > _MAX_COEFF_ORDER:
-            raise RhoZetaError(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
-        if args.N < 1:
-            raise RhoZetaError("coefficient order must be at least 1")
-    if args.command == "curve":
-        if args.steps < 2 or not args.u_min < args.u_max or not math.isfinite(args.u_max - args.u_min):
-            raise ValueError("u grid needs finite min < max, a finite span and at least 2 steps")
-        if args.p_steps is not None:
-            if args.p_min is None or args.p_max is None:
-                raise ValueError("p grid needs --p-min and --p-max")
-            if args.p_steps < 2 or not args.p_min < args.p_max or not math.isfinite(args.p_max - args.p_min):
-                raise ValueError("p grid needs finite min < max and at least 2 steps")
-            if args.file is not None or args.state != "isotropic":
-                raise RhoZetaError("p grid sweeps apply only to the isotropic state")
-        elif args.p_min is not None or args.p_max is not None:
-            raise ValueError("--p-min and --p-max need --p-steps")
-        rows = args.steps * (args.p_steps or 1)
-        if rows > _MAX_CURVE_ROWS:
-            raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
 
 
 def _load_state(args) -> DensityMatrix:
@@ -101,6 +75,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    _check_tol(args.tol)
+    if args.N > _MAX_COEFF_ORDER:
+        raise CapExceeded(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
+    if args.N < 1:
+        raise ValueError("coefficient order must be at least 1")
     rho = _load_state(args)
     series = series_coeffs(trace_powers(rho, args.N), args.N)
     lines = ["n,c_n"]
@@ -115,32 +94,39 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _curve_rows(rho: DensityMatrix, args, p_value=None):
-    rational = singularities(rho)
-    rows = []
-    for u in np.linspace(args.u_min, args.u_max, args.steps):
-        u = float(u)
-        prefix = [repr(u)] if p_value is None else [repr(u), repr(p_value)]
-        try:
-            value = zeta_eval(rational, u)
-        except AtSingularity:
-            rows.append(prefix + ["", "", "1"])
-        else:
-            rows.append(prefix + [repr(value.real), repr(value.imag), "0"])
-    return rows
-
-
 def cmd_curve(args) -> int:
+    if args.steps < 2 or not args.u_min < args.u_max or not math.isfinite(args.u_max - args.u_min):
+        raise ValueError("u grid needs finite min < max, a finite span and at least 2 steps")
     if args.p_steps is not None:
-        header = "u,p,zeta_re,zeta_im,at_singularity"
-        rows = []
-        for p in np.linspace(args.p_min, args.p_max, args.p_steps):
-            rho = isotropic_state(float(p))
-            rows.extend(_curve_rows(rho, args, p_value=float(p)))
+        if args.p_min is None or args.p_max is None:
+            raise ValueError("p grid needs --p-min and --p-max")
+        if args.p_steps < 2 or not args.p_min < args.p_max or not math.isfinite(args.p_max - args.p_min):
+            raise ValueError("p grid needs finite min < max and at least 2 steps")
+        if args.file is not None or args.state != "isotropic":
+            raise ValueError("p grid sweeps apply only to the isotropic state")
+    elif args.p_min is not None or args.p_max is not None:
+        raise ValueError("--p-min and --p-max need --p-steps")
+    rows = args.steps * (args.p_steps or 1)
+    if rows > _MAX_CURVE_ROWS:
+        raise CapExceeded(f"curve of {rows} rows exceeds cap {_MAX_CURVE_ROWS}")
+    if args.p_steps is None:
+        lines = ["u,zeta_re,zeta_im,at_singularity"]
+        curves = [("", _load_state(args))]
     else:
-        header = "u,zeta_re,zeta_im,at_singularity"
-        rows = _curve_rows(_load_state(args), args)
-    lines = [header] + [",".join(row) for row in rows]
+        lines = ["u,p,zeta_re,zeta_im,at_singularity"]
+        # one state at a time: a surface may have up to _MAX_CURVE_ROWS / 2 of them
+        curves = ((f",{p!r}", isotropic_state(p))
+                  for p in np.linspace(args.p_min, args.p_max, args.p_steps).tolist())
+    grid = np.linspace(args.u_min, args.u_max, args.steps).tolist()
+    for p_column, rho in curves:
+        rational = singularities(rho)
+        for u in grid:
+            try:
+                value = zeta_eval(rational, u)
+            except AtSingularity:
+                lines.append(f"{u!r}{p_column},,,1")
+            else:
+                lines.append(f"{u!r}{p_column},{value.real!r},{value.imag!r},0")
     _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -166,16 +152,10 @@ def cmd_bose(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "graph": cmd_graph,
-    "coeffs": cmd_coeffs,
-    "curve": cmd_curve,
-    "primes": cmd_primes,
-    "bose": cmd_bose,
-}
-
-
-def _add_state_arguments(parser):
+def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser with the shared state arguments; `main` calls `run`."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(run=run)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help=f"built-in state ({', '.join(sorted(BUILTIN_STATES))})")
     group.add_argument("--file", help="matrix JSON file")
@@ -185,6 +165,7 @@ def _add_state_arguments(parser):
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL,
                         help="validation tolerance in (0, 1) for a --file matrix; built-in states ignore it")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,11 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_graph = sub.add_parser("graph", help="export the weighted digraph as DOT")
-    _add_state_arguments(p_graph)
+    _add_command(sub, "graph", cmd_graph, help="export the weighted digraph as DOT")
 
-    p_coeffs = sub.add_parser("coeffs", help="series coefficients and separability verdict")
-    _add_state_arguments(p_coeffs)
+    p_coeffs = _add_command(sub, "coeffs", cmd_coeffs, help="series coefficients and separability verdict")
     p_coeffs.add_argument("--N", type=int, default=12,
                           help=f"highest coefficient order (<= {_MAX_COEFF_ORDER})")
     p_coeffs.add_argument("--tol", type=float, default=DEFAULT_SEPARABILITY_TOL,
@@ -206,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--pure-bipartite", action="store_true",
                           help="assert the state is a reduced pure bipartite state")
 
-    p_curve = sub.add_parser("curve", help="sample the zeta function over a u grid")
-    _add_state_arguments(p_curve)
+    p_curve = _add_command(sub, "curve", cmd_curve, help="sample the zeta function over a u grid")
     p_curve.add_argument("--u-min", type=float, default=0.0)
     p_curve.add_argument("--u-max", type=float, default=0.9)
     p_curve.add_argument("--steps", type=int, default=50)
@@ -216,23 +194,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--p-steps", type=int,
                          help="sample an isotropic (u, p) surface with this many p values")
 
-    p_primes = sub.add_parser("primes", help="prime class table as CSV")
-    _add_state_arguments(p_primes)
+    p_primes = _add_command(sub, "primes", cmd_primes, help="prime class table as CSV")
     p_primes.add_argument("--L", type=int, default=8,
                           help=f"maximum prime length (<= {PRIME_LENGTH_CAP})")
 
-    p_bose = sub.add_parser("bose", help="copy-symmetry acceptance vs series coefficients")
-    _add_state_arguments(p_bose)
+    p_bose = _add_command(sub, "bose", cmd_bose, help="copy-symmetry acceptance vs series coefficients")
     p_bose.add_argument("--K", type=int, default=3, help=f"largest copy count (<= {MAX_COPIES})")
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse argv and run its subcommand.  The shared --validation-tol is
+    checked here; each cmd_* checks its own arguments, before it builds a
+    state unless the bound depends on the state (bose's copy caps, the
+    prime search bound)."""
     args = build_parser().parse_args(argv)
     try:
-        _check_args(args)
-        return _COMMANDS[args.command](args)
+        _check_tol(args.validation_tol)
+        return args.run(args)
     except (RhoZetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

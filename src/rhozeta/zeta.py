@@ -157,10 +157,7 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
         terms = np.empty((len(norms) + 1, order + 1 - nu), dtype=complex)
         terms[0] = coeffs[nu:]
         terms[1:] = complex_product(norms[:, None], coeffs[:order + 1 - nu])
-        total = np.empty(order + 1 - nu, dtype=complex)
-        total.real = np.add.accumulate(terms.real)[-1]
-        total.imag = np.add.accumulate(terms.imag)[-1]
-        coeffs[nu:] = total.tolist()
+        coeffs[nu:] = np.add.accumulate(terms)[-1].tolist()
     worst = max(abs(c.imag) for c in coeffs)
     if worst > _IMAG_TOL:
         raise NonRealCoefficient(f"imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.1e}")

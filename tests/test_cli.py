@@ -219,6 +219,10 @@ def test_coeffs_order_cap(capsys):
     code, _, err = run_cli(["coeffs", "--state", "plus", "--N", "65"], capsys)
     assert code == 2
     assert "65" in err
+    assert err.startswith("error: CapExceeded")
+    code, out, err = run_cli(["coeffs", "--state", "plus", "--N", "0"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: ValueError") and "at least 1" in err
 
 
 def test_nan_tolerances_are_input_errors(tmp_path, capsys):
@@ -397,6 +401,7 @@ def test_curve_surface_requires_isotropic(capsys):
     )
     assert code == 2
     assert "isotropic" in err
+    assert err.startswith("error: ValueError")
 
 
 def test_curve_rejects_bad_grid(capsys):
@@ -448,6 +453,26 @@ def test_curve_row_cap(tmp_path, capsys):
         code, out_text, err = run_cli(args, capsys)
         assert code == 2
         assert out_text == "" and "CapExceeded" in err
+
+
+def test_curve_surface_blocks_equal_single_curves(capsys):
+    # each p block of a surface, its p column removed, is the curve of that
+    # isotropic state on the same u grid
+    grid = ["--u-min", "0", "--u-max", "4.5", "--steps", "10"]
+    code, out, _ = run_cli(["curve", "--state", "isotropic", *grid,
+                            "--p-min", "0", "--p-max", "1", "--p-steps", "5"], capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "u,p,zeta_re,zeta_im,at_singularity" and len(rows) == 50
+    for block in range(5):
+        block_rows = [row.split(",") for row in rows[10 * block:10 * (block + 1)]]
+        p = block_rows[0][1]
+        assert all(row[1] == p for row in block_rows)
+        code, single, _ = run_cli(["curve", "--state", "isotropic", "--p", p, *grid], capsys)
+        assert code == 0
+        expected = "u,zeta_re,zeta_im,at_singularity\n" + "".join(
+            ",".join([row[0], *row[2:]]) + "\n" for row in block_rows)
+        assert single == expected, p
 
 
 def test_random_dim_cap(capsys):
@@ -557,6 +582,33 @@ def test_bose_checks_copy_dimension_before_work(monkeypatch, capsys):
 
 
 # -- cross-cutting ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--state", "bell-reduced", "--tol", "nan"],
+    ["coeffs", "--state", "plus", "--N", "65"],
+    ["coeffs", "--state", "plus", "--N", "0"],
+    ["curve", "--state", "plus", "--u-min", "1", "--u-max", "0"],
+    ["curve", "--state", "plus", "--steps", "1"],
+    ["curve", "--state", "plus", "--u-max", "inf"],
+    ["curve", "--state", "isotropic", "--p-steps", "3"],
+    ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1", "--p-steps", "1"],
+    ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "inf", "--p-steps", "3"],
+    ["curve", "--state", "plus", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
+    ["curve", "--file", "rho.json", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
+    ["curve", "--state", "isotropic", "--p-min", "0"],
+    ["curve", "--state", "plus", "--steps", "100001"],
+    ["curve", "--state", "isotropic", "--steps", "50001", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
+], ids=" ".join)
+def test_refusals_come_before_any_state_is_built(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built before the arguments were checked")
+
+    for name in ("builtin_state", "load_matrix", "isotropic_state"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
