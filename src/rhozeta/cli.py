@@ -23,6 +23,7 @@ from .graph import (
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
+    check_tol,
     load_matrix,
     trace_powers,
     validate_density,
@@ -48,15 +49,11 @@ _MAX_COEFF_ORDER = 64
 _MAX_CURVE_ROWS = 100_000
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < 1:
-        raise ValueError("tolerances must be finite and positive, below 1")
-
-
 def _load_state(args) -> DensityMatrix:
     if args.file is not None:
         return validate_density(load_matrix(args.file), args.validation_tol)
-    return builtin_state(args.state, p=args.p, dim=args.dim, seed=args.seed)
+    given = {name: value for name in ("p", "dim", "seed") if (value := getattr(args, name)) is not None}
+    return builtin_state(args.state, **given)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -75,7 +72,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    _check_tol(args.tol)
+    check_tol(args.tol)
     if args.N > _MAX_COEFF_ORDER:
         raise CapExceeded(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
     if args.N < 1:
@@ -159,9 +156,9 @@ def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help=f"built-in state ({', '.join(sorted(BUILTIN_STATES))})")
     group.add_argument("--file", help="matrix JSON file")
-    parser.add_argument("--p", type=float, default=0.5, help="isotropic parameter in [0, 1]")
-    parser.add_argument("--dim", type=int, default=2, help="dimension of the random state")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
+    parser.add_argument("--p", type=float, help="isotropic parameter in [0, 1]")
+    parser.add_argument("--dim", type=int, help="dimension of the random state")
+    parser.add_argument("--seed", type=int, help="seed for randomized inputs")
     parser.add_argument("--out", default="-", help="output path ('-' for stdout)")
     parser.add_argument("--validation-tol", type=float, default=DEFAULT_TOL,
                         help="validation tolerance in (0, 1) for a --file matrix; built-in states ignore it")
@@ -211,7 +208,7 @@ def main(argv=None) -> int:
     prime search bound)."""
     args = build_parser().parse_args(argv)
     try:
-        _check_tol(args.validation_tol)
+        check_tol(args.validation_tol)
         return args.run(args)
     except (RhoZetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

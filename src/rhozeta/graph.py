@@ -16,10 +16,10 @@ gathered whole with np.take, and two lookup tables over edge keys, built
 once per call, find every word's successors and closing edge.  A bound on
 the search's steps, one masked matrix product per length, refuses a search
 too large to run.  It returns PrimeClasses: per-length arrays of words and
-edge norms, iterated as PrimeClass items.  complex_product
-multiplies norms as Python's complex multiply does, bit for bit, so the
-array search and the Euler expansion give the same floats as a loop over
-Python numbers.
+edge norms, iterated as PrimeClass items.  The search and the Euler
+expansion both multiply norms with complex_product, which rounds as
+Python's complex multiply does, bit for bit, so they give the same floats
+as a loop over Python numbers.
 """
 
 from dataclasses import dataclass
@@ -148,17 +148,6 @@ def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
     return total
 
 
-def _product_parts(ar, ai, br, bi):
-    """Real and imaginary parts of (ar + ai i) * (br + bi i), as CPython forms them."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _as_complex(re, im) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
 def complex_product(a, b) -> np.ndarray:
     """Elementwise a * b of complex arrays, rounded as CPython rounds complex * complex.
 
@@ -169,7 +158,10 @@ def complex_product(a, b) -> np.ndarray:
     every element equals the Python product bit for bit.
     """
     a, b = np.asarray(a), np.asarray(b)
-    return _as_complex(*_product_parts(a.real, a.imag, b.real, b.imag))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 class PrimeClasses:
@@ -214,21 +206,21 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
 
     The search is breadth first.  Level t holds every prenecklace of length
     t as the first t letters of a row of a (count, _ROW) word buffer, with
-    its period and the real and imaginary parts of the norm of its t - 1
-    edges.  Rows are gathered whole with np.take, and the letter t - p of
-    every row is read from the flat buffer.  Edges are keyed
-    origin*(n+1) + terminus, in sorted order, so the successors of a word
-    are one run of edges; two tables over all (n+1)**2 keys, built once,
-    give the first edge at or above a key and the edge with a key (or -1),
-    so one lookup finds where each run starts and ends and whether a word
-    closes.  np.repeat lays out the next level.  The last level is built
-    from successors above the floor letter only, which are its Lyndon
-    words.  Children follow their parent in ascending terminus order, so
-    each level, and the classes taken from it, are in lexicographic order
-    without a sort.  Norms are multiplied with complex_product's formula,
-    left to right from 1 + 0j, so each is the same float as a product of
-    Python complex numbers.  A level has at most as many rows as the search
-    takes steps, so memory is bounded by MAX_SEARCH_STEPS.
+    its period and the complex norm of its t - 1 edges.  Rows are gathered
+    whole with np.take, and the letter t - p of every row is read from the
+    flat buffer.  Edges are keyed origin*(n+1) + terminus, in sorted order,
+    so the successors of a word are one run of edges; two tables over all
+    (n+1)**2 keys, built once, give the first edge at or above a key and
+    the edge with a key (or -1), so one lookup finds where each run starts
+    and ends and whether a word closes.  np.repeat lays out the next level.
+    The last level is built from successors above the floor letter only,
+    which are its Lyndon words.  Children follow their parent in ascending
+    terminus order, so each level, and the classes taken from it, are in
+    lexicographic order without a sort.  Norms are multiplied with
+    complex_product, left to right from 1 + 0j, so each is the same float
+    as a product of Python complex numbers.  A level has at most as many
+    rows as the search takes steps, so memory is bounded by
+    MAX_SEARCH_STEPS.
     """
     if length_cap < 1:
         raise ValueError("length cap must be at least 1")
@@ -244,7 +236,6 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     letter = np.min_scalar_type(n)
     origin, terminus = np.nonzero(g.weights)
     weights = g.weights[origin, terminus]
-    w_re, w_im = np.ascontiguousarray(weights.real), np.ascontiguousarray(weights.imag)
     termini = (terminus + 1).astype(letter)
     key = (origin + 1) * stride + terminus + 1
     # first_edge[k]: the first edge with key >= k; its last entry, at
@@ -256,7 +247,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     word = np.zeros((n, _ROW), dtype=letter)
     word[:, 0] = np.arange(1, n + 1)
     period = np.ones(n, dtype=np.uint8)
-    re, im = np.ones(n), np.zeros(n)
+    norm = np.ones(n, dtype=complex)
     words, norms = [], []
     for t in range(1, length_cap + 1):
         row = word[:, t - 1].astype(np.intp) * stride  # the keys of the last letter's edges start here
@@ -265,7 +256,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         closes = closing >= 0
         lyndon, closing = lyndon[closes], closing[closes]
         words.append(np.take(word, lyndon, axis=0)[:, :t])
-        norms.append(_as_complex(*_product_parts(re[lyndon], im[lyndon], w_re[closing], w_im[closing])))
+        norms.append(complex_product(norm[lyndon], weights[closing]))
         if t == length_cap:
             break
         floor = np.take(word, np.arange(len(word)) * _ROW + (t - period))
@@ -283,7 +274,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
         word = np.take(word, parent, axis=0)
         word[:, t] = grown
-        re, im = _product_parts(re[parent], im[parent], w_re[edge], w_im[edge])
+        norm = complex_product(norm[parent], weights[edge])
     return PrimeClasses(words, norms)
 
 

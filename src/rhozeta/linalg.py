@@ -76,6 +76,12 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, tol={self.tol:g})"
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance outside (0, 1): NaN fails every bound, and 1 or more passes almost anything."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must be finite and positive, below 1")
+
+
 def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a matrix as a density matrix, or raise naming the first violation.
 
@@ -88,8 +94,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     for normal floats.
     """
     a = as_square_matrix(matrix)
-    if not 0 < tol < 1:
-        raise ValueError("tol must be finite and positive, below 1")
+    check_tol(tol)
     half = a / 2.0
     half_h = half.conj().T
     with np.errstate(over="ignore"):  # an overflowed defect or trace is inf and fails its bound

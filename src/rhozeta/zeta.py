@@ -23,7 +23,7 @@ from .errors import (
     NonRealCoefficient,
 )
 from .graph import PrimeClasses, complex_product
-from .linalg import ZERO_TOL, DensityMatrix, trace_powers
+from .linalg import ZERO_TOL, DensityMatrix, check_tol, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
 MULTIPLICITY_RTOL = 1e-8
@@ -167,12 +167,13 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
 def singularities(rho: DensityMatrix) -> ZetaRational:
     """Rational form of the zeta function with its singularity list.
 
-    Keeps the validated eigenvalues above the zero threshold; the
-    singularities are their reciprocals, merged into multiplicities when
-    they agree within 1e-8 relative, ascending.
+    Keeps the validated eigenvalues above the zero threshold, ascending as
+    eigvalsh gives them; the singularities are their reciprocals, taken in
+    reverse so they ascend (division is monotone), merged into
+    multiplicities when they agree within 1e-8 relative.
     """
-    eigenvalues = tuple(float(lam) for lam in rho.eigenvalues if lam > ZERO_TOL)
-    locations = sorted(1.0 / lam for lam in eigenvalues)
+    eigenvalues = rho.eigenvalues[rho.eigenvalues > ZERO_TOL].tolist()
+    locations = [1.0 / lam for lam in reversed(eigenvalues)]
     groups = []
     for u in locations:
         if groups:
@@ -181,7 +182,7 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
                 groups[-1] = ((mean * count + u) / (count + 1), count + 1)
                 continue
         groups.append((u, 1))
-    return ZetaRational(eigenvalues=eigenvalues, singularities=tuple(groups))
+    return ZetaRational(eigenvalues=tuple(eigenvalues), singularities=tuple(groups))
 
 
 def zeta_eval(rational: ZetaRational, u) -> complex:
@@ -235,8 +236,7 @@ def is_separable_by_coeffs(
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    if not 0 < tol < 1:
-        raise ValueError("tol must be finite and positive, below 1")
+    check_tol(tol)
     for n, c_n in enumerate(_newton_coeffs(trace_powers(rho_b, order)), start=1):
         if abs(c_n - 1.0) > tol:
             return SeparabilityVerdict(
@@ -255,8 +255,7 @@ def is_separable_by_singularity(
     pure_bipartite: bool = False,
 ) -> SeparabilityVerdict:
     """Singularity criterion: separable iff the only pole is u = 1, simple."""
-    if not 0 < tol < 1:
-        raise ValueError("tol must be finite and positive, below 1")
+    check_tol(tol)
     rational = singularities(rho_b)
     sing = rational.singularities
     if len(sing) == 1 and sing[0][1] == 1 and abs(sing[0][0] - 1.0) <= tol:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -237,7 +238,7 @@ def test_nan_tolerances_are_input_errors(tmp_path, capsys):
                  ["coeffs", "--state", "bell-reduced", "--N", "4", "--tol", "1"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
-        assert out == "" and "ValueError" in err and "finite" in err
+        assert out == "" and err == "error: ValueError: tol must be finite and positive, below 1\n"
 
 
 def test_indefinite_file_near_float_max_is_rejected(tmp_path, capsys):
@@ -618,6 +619,12 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     assert run_cli(args + ["--out", str(first)], capsys)[0] == 0
     assert run_cli(args + ["--out", str(second)], capsys)[0] == 0
     assert first.read_bytes() == second.read_bytes()
+    # leaving out --p, --dim and --seed means builtin_state's own defaults
+    defaults = inspect.signature(builtin_state).parameters
+    explicit = [f"--{name}={defaults[name].default!r}" for name in ("p", "dim", "seed")]
+    for state in ("random", "isotropic"):
+        args = ["coeffs", "--state", state]
+        assert run_cli(args, capsys) == run_cli(args + explicit, capsys), state
 
 
 def test_csv_round_trip_is_idempotent(tmp_path, capsys):

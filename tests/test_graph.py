@@ -391,10 +391,20 @@ def test_complex_product_matches_python_bit_for_bit():
     parts[3, rng.random(size) < 0.1] = 0.0  # real-only b
     a, b = np.empty((2, size), dtype=complex)
     a.real, a.imag, b.real, b.imag = parts
-    got = complex_product(a, b)
+
+    def hexes(values):
+        return [(z.real.hex(), z.imag.hex()) for z in values]
+
     want = [x * y for x, y in zip(a.tolist(), b.tolist())]
-    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
-        [(z.real.hex(), z.imag.hex()) for z in want]
+    assert hexes(complex_product(a, b).tolist()) == hexes(want)
+    # gathered complex arrays, as enumerate_primes passes norm[parent] and weights[edge]
+    i, j = rng.integers(0, size, (2, size))
+    want = [x * y for x, y in zip(a[i].tolist(), b[j].tolist())]
+    assert hexes(complex_product(a[i], b[j]).tolist()) == hexes(want)
+    # a column times a row of Python complex numbers, as euler_product_coeffs passes them
+    column, row = a[:300], b[:400].tolist()
+    want = [x * y for x in column.tolist() for y in row]
+    assert hexes(complex_product(column[:, None], row).ravel().tolist()) == hexes(want)
 
 
 def test_prime_classes_sequence_access():

@@ -88,7 +88,7 @@ def test_validate_error_reports_magnitude():
 def test_validate_rejects_bad_tolerance(tol):
     # a NaN tolerance compares false both ways and would pass every check; a
     # tolerance of 1 or more admits matrices far from any state
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="^tol must be finite and positive, below 1$"):
         validate_density(np.array([[0, 1], [0, 0]]), tol)
 
 

@@ -355,9 +355,10 @@ def test_ghz_reduction_entangled_by_singularity():
 def test_verdicts_reject_bad_tolerance(tol):
     # with tol = NaN every comparison is false, and with tol >= 1 every
     # |c_n - 1| <= 1 holds: either way the Bell reduction would pass
-    with pytest.raises(ValueError, match="finite and positive"):
+    message = "^tol must be finite and positive, below 1$"
+    with pytest.raises(ValueError, match=message):
         is_separable_by_coeffs(MAXMIXED2, 2, tol)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match=message):
         is_separable_by_singularity(MAXMIXED2, tol)
 
 
