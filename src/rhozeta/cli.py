@@ -101,6 +101,8 @@ def cmd_curve(args) -> int:
             raise ValueError("p grid needs finite min < max and at least 2 steps")
         if args.file is not None or args.state != "isotropic":
             raise ValueError("p grid sweeps apply only to the isotropic state")
+        if args.p is not None:
+            raise ValueError("--p cannot be given with a p grid")
     elif args.p_min is not None or args.p_max is not None:
         raise ValueError("--p-min and --p-max need --p-steps")
     rows = args.steps * (args.p_steps or 1)

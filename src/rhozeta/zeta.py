@@ -185,22 +185,13 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
     return ZetaRational(eigenvalues=tuple(eigenvalues), singularities=tuple(groups))
 
 
-def zeta_eval(rational: ZetaRational, u) -> complex:
-    """Evaluate 1/prod(1 - u*lam) as a log-magnitude sum times a unit phase.
-
-    A large |u| underflows to zero rather than overflowing: a factor whose
-    modulus overflows is taken as 2*lam * (1/lam - u)/2, where the last term
-    stays finite and has the factor's phase.  Raises AtSingularity within
-    SINGULARITY_TOL of a pole (|1 - u*lam| is then at most SINGULARITY_TOL *
-    lam) and where |zeta| exceeds the float range; raises ValueError for a
-    non-finite u.
-    """
-    u = complex(u)
-    if not (isfinite(u.real) and isfinite(u.imag)):
-        raise ValueError(f"u={u} is not finite")
+def _zeta_from_logs(eigenvalues, u: complex) -> complex:
+    """zeta_eval's form where the product leaves its range: a log-magnitude
+    sum times a unit phase.  A factor whose modulus overflows is taken as
+    2*lam * (1/lam - u)/2, whose last term stays finite with its phase."""
     log_mag = 0.0
     phase = 1 + 0j
-    for lam in rational.eigenvalues:
+    for lam in eigenvalues:
         factor = 1 - u * lam
         try:
             size = abs(factor)
@@ -217,6 +208,35 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
     if log_mag > _LOG_FLOAT_MAX:
         raise AtSingularity(f"|zeta({u})| = exp({log_mag:.1f}) exceeds the float range")
     return phase * exp(log_mag)
+
+
+def zeta_eval(rational: ZetaRational, u) -> complex:
+    """Evaluate 1/prod(1 - u*lam) as one running product z of the factors.
+
+    Descending eigenvalues put the factors of modulus at least one (lam >=
+    2*Re(u)/|u|^2) first, so no partial product is below min(1, |z|); for a
+    real u, z is a float.  At a pole (|1 - u*lam| <= SINGULARITY_TOL * lam),
+    where a modulus overflows or |z| leaves [2^-1000, 2^1000], _zeta_from_logs
+    gives the value or raises AtSingularity (also where |zeta| exceeds the
+    float range).  Zero parts come out as +0.0; a non-finite u raises ValueError.
+    """
+    u = complex(u)
+    if not (isfinite(u.real) and isfinite(u.imag)):
+        raise ValueError(f"u={u} is not finite")
+    x = u.real if u.imag == 0 else u
+    z = 1.0
+    try:
+        for lam in reversed(rational.eigenvalues):
+            factor = 1 - x * lam
+            if abs(factor) <= SINGULARITY_TOL * lam:
+                break
+            z *= factor
+        else:
+            if 2.0 ** -1000 <= abs(z) <= 2.0 ** 1000:
+                return 1 / z + 0j
+    except OverflowError:  # finite parts whose modulus exceeds the float range
+        pass
+    return _zeta_from_logs(rational.eigenvalues, u) + 0j
 
 
 def is_separable_by_coeffs(

@@ -597,6 +597,7 @@ def test_bose_checks_copy_dimension_before_work(monkeypatch, capsys):
     ["curve", "--state", "plus", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
     ["curve", "--file", "rho.json", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
     ["curve", "--state", "isotropic", "--p-min", "0"],
+    ["curve", "--state", "isotropic", "--p", "0.3", "--p-min", "0", "--p-max", "1", "--p-steps", "3"],
     ["curve", "--state", "plus", "--steps", "100001"],
     ["curve", "--state", "isotropic", "--steps", "50001", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
 ], ids=" ".join)

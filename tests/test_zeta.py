@@ -260,10 +260,10 @@ def test_singularity_eigenvalue_bijection():
 
 
 def test_denominator_matches_eigenvalue_product():
-    # between the first 8 poles of large random states, against a 50-digit
-    # product over numpy's eigenvalues
+    # between the first 8 poles of random states, on the real axis and off
+    # it, against a 50-digit product over numpy's eigenvalues
     mpmath = pytest.importorskip("mpmath")
-    for dim in (16, 32, 64):
+    for dim in (2, 8, 16, 32, 64, 128):
         for seed in (1, 2, 3):
             rho = random_density(dim, seed)
             rational = singularities(rho)
@@ -271,19 +271,23 @@ def test_denominator_matches_eigenvalue_product():
             poles = sorted(1.0 / lams)[:8]
             for left, right in zip(poles, poles[1:]):
                 for frac in (0.2, 0.5, 0.8):
-                    u = left + frac * (right - left)
-                    with mpmath.workdps(50):
-                        expected = float(1 / mpmath.fprod(1 - mpmath.mpf(u) * mpmath.mpf(lam) for lam in lams))
-                    value = zeta_eval(rational, u)
-                    assert value.imag == 0.0
-                    assert abs(value.real - expected) <= 1e-10 * abs(expected), (dim, seed, u)
+                    x = left + frac * (right - left)
+                    for u in (x, complex(x, frac * (right - left))):
+                        with mpmath.workdps(50):
+                            expected = complex(1 / mpmath.fprod(1 - mpmath.mpc(u) * mpmath.mpf(lam) for lam in lams))
+                        value = zeta_eval(rational, u)
+                        if u == x:
+                            assert value.imag == 0.0
+                        assert abs(value - expected) <= 1e-10 * abs(expected), (dim, seed, u)
 
 
 def test_zeta_beyond_float_range_is_singular():
     rational = singularities(validate_density(np.eye(64) / 64))
-    # 64 + 2e-6 is outside the 1e-6 pole distance, but (1 - u/64)^-64 ~ e^1106
-    with pytest.raises(AtSingularity):
-        zeta_eval(rational, 64 + 2e-6)
+    # 64 + 2e-6 is outside the 1e-6 pole distance, but (1 - u/64)^-64 ~ e^1106;
+    # at 64 * (1 - 2^-16.1) every factor is 2^-16.1 and |zeta| ~ 2^1030
+    for u in (64 + 2e-6, 64 * (1 - 2 ** -16.1)):
+        with pytest.raises(AtSingularity, match="exceeds the float range"):
+            zeta_eval(rational, u)
 
 
 def _closed_form(eigenvalues, u):
@@ -307,6 +311,54 @@ def test_zeta_eval_where_u_lam_overflows_matches_closed_form():
             value = zeta_eval(rational, u)
             expected = _closed_form(rational.eigenvalues, complex(u))
             assert abs(value - expected) <= 1e-12 * abs(expected), (rational, u, value)
+
+
+def test_zeta_eval_either_side_of_the_product_range_matches_closed_form():
+    # the 64 equal factors multiply to 2^-992, 2^-1011.2, about e^680 and
+    # about e^700: the first and third inside the running product's range
+    # [2^-1000, 2^1000], the second and fourth outside it
+    rational = singularities(validate_density(np.eye(64) / 64))
+    points = [
+        (64 * (1 - 2 ** -15.5), 992.0),
+        (64 * (1 - 2 ** -15.8), 1011.2),
+        (-64 * math.expm1(680 / 64), -680 / math.log(2)),
+        (-64 * math.expm1(700 / 64), -700 / math.log(2)),
+    ]
+    for u, log2_size in points:
+        value = zeta_eval(rational, u)
+        expected = _closed_form(rational.eigenvalues, complex(u))
+        assert abs(math.log2(abs(value)) - log2_size) < 1e-6, u
+        assert abs(value - expected) <= 1e-12 * abs(expected), (u, value, expected)
+
+
+def test_zeta_eval_partial_products_stay_normal():
+    # 30 factors of 3 * 2^-37 and 3 of about 2^28.4: taken in ascending order
+    # of lam the partial product falls to 2^-1062, below the normal floats,
+    # before the large factors lift it to 2^-977
+    small = 2.0 ** -30
+    rational = singularities(validate_density(np.diag([small] * 30 + [(1 - 30 * small) / 3] * 3)))
+    u = (1 - 3 * 2.0 ** -37) / small
+    value = zeta_eval(rational, u)
+    expected = _closed_form(rational.eigenvalues, complex(u))
+    assert abs(value - expected) <= 1e-12 * abs(expected), (value, expected)
+
+
+def test_zeta_eval_on_the_real_axis_has_a_positive_zero_imaginary_part():
+    # where a complex product of the factors is negative, 1/z alone has a
+    # -0.0 imaginary part
+    negative = 0
+    for dim in range(1, 17):
+        rational = singularities(random_density(dim, 40 + dim))
+        poles = [u for u, _ in rational.singularities]
+        for u in np.linspace(-poles[0], 1.5 * poles[min(3, len(poles) - 1)], 201).tolist():
+            try:
+                value = zeta_eval(rational, u)
+            except AtSingularity:
+                continue
+            negative += value.real < 0
+            assert type(value) is complex
+            assert math.copysign(1.0, value.imag) == 1.0, (dim, u, value)
+    assert negative > 0
 
 
 # -- separability verdicts --------------------------------------------------------------
