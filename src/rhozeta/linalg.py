@@ -120,11 +120,11 @@ def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
     each giant step (rho^b)^j is one more product, and its b traces are one
     matrix-vector product of the flattened stack against the flattened
     transpose of (rho^b)^j.
-    Blocks are always computed whole, so p_m depends on m alone, not on
-    m_max.  The result is cached on rho, and a call for fewer power sums
-    returns a prefix of a longer one; a call for more recomputes.  The
-    eigenvalues are never read, so this route stays independent of the
-    rational one.
+    The stack holds min(b, m_max) powers and a giant step gives all b of its
+    traces; each p_m is a trace of the same product chain, so it depends on
+    m alone, not on m_max.  The result is cached on rho: a shorter call gets
+    a prefix of a longer one, a longer call recomputes.  The eigenvalues are
+    never read, so this route stays independent of the rational one.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")

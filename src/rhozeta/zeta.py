@@ -186,9 +186,9 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
 
 
 def _zeta_from_logs(eigenvalues, u: complex) -> complex:
-    """zeta_eval's form where the product leaves its range: a log-magnitude
-    sum times a unit phase.  A factor whose modulus overflows is taken as
-    2*lam * (1/lam - u)/2, whose last term stays finite with its phase."""
+    """zeta_eval's form for a non-real u or a real product out of its range:
+    a log-magnitude sum times a unit phase.  A factor whose modulus overflows
+    is taken as 2*lam * (1/lam - u)/2, whose last term stays finite with its phase."""
     log_mag = 0.0
     phase = 1 + 0j
     for lam in eigenvalues:
@@ -211,21 +211,21 @@ def _zeta_from_logs(eigenvalues, u: complex) -> complex:
 
 
 def zeta_eval(rational: ZetaRational, u) -> complex:
-    """Evaluate 1/prod(1 - u*lam) as one running product z of the factors.
+    """Evaluate 1/prod(1 - u*lam), for a real u as one running float product z.
 
-    Descending eigenvalues put the factors of modulus at least one (lam >=
-    2*Re(u)/|u|^2) first, so no partial product is below min(1, |z|); for a
-    real u, z is a float.  At a pole (|1 - u*lam| <= SINGULARITY_TOL * lam),
-    where a modulus overflows or |z| leaves [2^-1000, 2^1000], _zeta_from_logs
-    gives the value or raises AtSingularity (also where |zeta| exceeds the
-    float range).  Zero parts come out as +0.0; a non-finite u raises ValueError.
+    Descending eigenvalues put the factors of modulus at least one first, so
+    no partial product is below min(1, |z|); a float overflow gives +-inf.
+    For a non-real u, at a pole (|1 - u*lam| <= SINGULARITY_TOL * lam), or
+    where |z| leaves [2^-1000, 2^1000], _zeta_from_logs gives the value or
+    raises AtSingularity (also where |zeta| exceeds the float range).  Zero
+    parts come out as +0.0; a non-finite u raises ValueError.
     """
     u = complex(u)
     if not (isfinite(u.real) and isfinite(u.imag)):
         raise ValueError(f"u={u} is not finite")
-    x = u.real if u.imag == 0 else u
-    z = 1.0
-    try:
+    if u.imag == 0:
+        x = u.real
+        z = 1.0
         for lam in reversed(rational.eigenvalues):
             factor = 1 - x * lam
             if abs(factor) <= SINGULARITY_TOL * lam:
@@ -234,8 +234,6 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
         else:
             if 2.0 ** -1000 <= abs(z) <= 2.0 ** 1000:
                 return 1 / z + 0j
-    except OverflowError:  # finite parts whose modulus exceeds the float range
-        pass
     return _zeta_from_logs(rational.eigenvalues, u) + 0j
 
 

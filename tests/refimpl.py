@@ -5,7 +5,8 @@ dense symmetric projector and permutation operators check the acceptance
 oracle's permanent sum, the one-subset-at-a-time recurrence pins its bits,
 the partition-sum cycle index checks the series recurrence, the
 one-product-at-a-time power sums and the generator form of the recurrence
-pin the bits of trace_powers and series_coeffs, the recursive
+pin the bits of trace_powers and series_coeffs, exact rationals give
+the zeta values and power sums of float eigenvalues, the recursive
 prime generator and the per-start-vertex step count check the array prime
 search and its step bound, seeded Haar unitaries drive the
 basis-invariance checks, and the matrix JSON encoder writes the files the
@@ -15,6 +16,7 @@ DENSE_MAX_DIM on d^k.
 """
 
 import json
+from fractions import Fraction
 from itertools import chain, combinations_with_replacement, permutations
 from math import comb, factorial
 
@@ -235,6 +237,44 @@ def series_coeffs_generator(power_sums, order: int) -> tuple:
     for n in range(1, order + 1):
         c.append(sum(p[m - 1] * c[n - m] for m in range(1, n + 1)) / n)
     return tuple(c)
+
+
+def exact_zeta(eigenvalues, u) -> complex:
+    """1/prod(1 - u*lam) over float eigenvalues in exact rationals, rounded once per part.
+
+    Every float is an integer over a power of two, so each factor 1 - u*lam
+    is a Gaussian integer over d_u * d_lam.  The product is kept as one
+    unreduced Gaussian-integer numerator over one integer denominator; only
+    the two final Fractions reduce.
+    """
+    u = complex(u)
+    (ar, dr), (ai, di) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
+    du = max(dr, di)
+    ar, ai = ar * (du // dr), ai * (du // di)
+    re, im, den = 1, 0, 1
+    for lam in eigenvalues:
+        n, d = float(lam).as_integer_ratio()
+        a, b = du * d - ar * n, -ai * n
+        re, im, den = re * a - im * b, re * b + im * a, den * du * d
+    norm = re * re + im * im
+    return complex(float(Fraction(den * re, norm)), float(Fraction(-den * im, norm)))
+
+
+def exact_power_sums(eigenvalues, m_max: int) -> tuple:
+    """p_m = sum of lam^m for m = 1..m_max over float eigenvalues, each rounded once.
+
+    The eigenvalues are taken as integers over one common power-of-two
+    denominator, so every p_m is one integer sum over a power of it.
+    """
+    ratios = [float(lam).as_integer_ratio() for lam in eigenvalues]
+    den = max(d for _, d in ratios)
+    nums = [n * (den // d) for n, d in ratios]
+    powers = nums
+    values = []
+    for m in range(1, m_max + 1):
+        values.append(float(Fraction(sum(powers), den ** m)))
+        powers = [a * b for a, b in zip(powers, nums)]
+    return tuple(values)
 
 
 def search_steps_per_start(g, length_cap: int) -> float:

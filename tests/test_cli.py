@@ -207,6 +207,17 @@ def test_coeffs_bell_reduced_entangled(tmp_path, capsys):
     assert abs(float(rows[2][1]) - 0.75) < 1e-12
 
 
+def test_coeffs_below_order_two_prints_no_verdict(capsys):
+    # the coefficient verdict needs c_2, so the entangled bell-reduced state
+    # at --N 1 prints its one row and exits 0
+    code, out, err = run_cli(["coeffs", "--state", "bell-reduced", "--N", "1", "--pure-bipartite"], capsys)
+    assert code == 0
+    assert err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["n", "c_n"] and len(rows) == 2
+    assert rows[1][0] == "1" and abs(float(rows[1][1]) - 1.0) < 1e-12
+
+
 def test_coeffs_sigma3_decreasing_tail(tmp_path, capsys):
     out = tmp_path / "c.csv"
     code, _, _ = run_cli(["coeffs", "--state", "sigma3", "--N", "10", "--out", str(out)], capsys)

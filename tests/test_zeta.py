@@ -2,12 +2,17 @@
 
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from refimpl import cycle_index, partition_multiplicities, random_unitary, series_coeffs_generator
+from refimpl import (
+    cycle_index,
+    exact_zeta,
+    partition_multiplicities,
+    random_unitary,
+    series_coeffs_generator,
+)
 from rhozeta.errors import (
     AtSingularity,
     IncompletePrimes,
@@ -261,8 +266,7 @@ def test_singularity_eigenvalue_bijection():
 
 def test_denominator_matches_eigenvalue_product():
     # between the first 8 poles of random states, on the real axis and off
-    # it, against a 50-digit product over numpy's eigenvalues
-    mpmath = pytest.importorskip("mpmath")
+    # it, against the exact product over numpy's eigenvalues
     for dim in (2, 8, 16, 32, 64, 128):
         for seed in (1, 2, 3):
             rho = random_density(dim, seed)
@@ -273,8 +277,7 @@ def test_denominator_matches_eigenvalue_product():
                 for frac in (0.2, 0.5, 0.8):
                     x = left + frac * (right - left)
                     for u in (x, complex(x, frac * (right - left))):
-                        with mpmath.workdps(50):
-                            expected = complex(1 / mpmath.fprod(1 - mpmath.mpc(u) * mpmath.mpf(lam) for lam in lams))
+                        expected = exact_zeta(lams.tolist(), u)
                         value = zeta_eval(rational, u)
                         if u == x:
                             assert value.imag == 0.0
@@ -290,16 +293,6 @@ def test_zeta_beyond_float_range_is_singular():
             zeta_eval(rational, u)
 
 
-def _closed_form(eigenvalues, u):
-    """1/prod(1 - u*lam) in exact rationals, rounded once per part."""
-    re, im = Fraction(1), Fraction(0)
-    for lam in map(Fraction, eigenvalues):
-        a, b = 1 - Fraction(u.real) * lam, -Fraction(u.imag) * lam
-        re, im = re * a - im * b, re * b + im * a
-    norm = re * re + im * im
-    return complex(float(re / norm), float(-im / norm))
-
-
 def test_zeta_eval_where_u_lam_overflows_matches_closed_form():
     # for lam > 1, u*lam overflowed at u = +-float max and the value came out
     # nan; for complex u, abs() of the finite factor raised OverflowError
@@ -309,7 +302,7 @@ def test_zeta_eval_where_u_lam_overflows_matches_closed_form():
     for rational in (above_one, plus):
         for u in (big, -big, complex(big, big), complex(-big, big), complex(big, -big)):
             value = zeta_eval(rational, u)
-            expected = _closed_form(rational.eigenvalues, complex(u))
+            expected = exact_zeta(rational.eigenvalues, u)
             assert abs(value - expected) <= 1e-12 * abs(expected), (rational, u, value)
 
 
@@ -326,7 +319,7 @@ def test_zeta_eval_either_side_of_the_product_range_matches_closed_form():
     ]
     for u, log2_size in points:
         value = zeta_eval(rational, u)
-        expected = _closed_form(rational.eigenvalues, complex(u))
+        expected = exact_zeta(rational.eigenvalues, u)
         assert abs(math.log2(abs(value)) - log2_size) < 1e-6, u
         assert abs(value - expected) <= 1e-12 * abs(expected), (u, value, expected)
 
@@ -339,7 +332,7 @@ def test_zeta_eval_partial_products_stay_normal():
     rational = singularities(validate_density(np.diag([small] * 30 + [(1 - 30 * small) / 3] * 3)))
     u = (1 - 3 * 2.0 ** -37) / small
     value = zeta_eval(rational, u)
-    expected = _closed_form(rational.eigenvalues, complex(u))
+    expected = exact_zeta(rational.eigenvalues, u)
     assert abs(value - expected) <= 1e-12 * abs(expected), (value, expected)
 
 
@@ -359,6 +352,29 @@ def test_zeta_eval_on_the_real_axis_has_a_positive_zero_imaginary_part():
             assert type(value) is complex
             assert math.copysign(1.0, value.imag) == 1.0, (dim, u, value)
     assert negative > 0
+
+
+def test_zeta_eval_on_the_real_axis_is_the_float_product():
+    # off the poles and inside [2^-1000, 2^1000], a real u gives the
+    # reciprocal of the float product of 1 - u*lam in descending lam, bit
+    # for bit
+    checked = 0
+    for dim in range(1, 65):
+        rational = singularities(random_density(dim, 70 + dim))
+        descending = rational.eigenvalues[::-1]
+        poles = [u for u, _ in rational.singularities]
+        for u in np.linspace(-2 * poles[0], 1.5 * poles[min(3, len(poles) - 1)], 41).tolist():
+            factors = [1 - u * lam for lam in descending]
+            product = math.prod(factors)
+            if any(abs(f) <= 1e-6 * lam for f, lam in zip(factors, descending)):
+                continue
+            if not 2.0 ** -1000 <= abs(product) <= 2.0 ** 1000:
+                continue
+            value = zeta_eval(rational, u)
+            expected = 1 / product + 0j
+            assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex()), (dim, u)
+            checked += 1
+    assert checked > 2000
 
 
 # -- separability verdicts --------------------------------------------------------------
