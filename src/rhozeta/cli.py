@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AtSingularity, CapExceeded, RhoZetaError
 from .graph import (
     PRIME_LENGTH_CAP,
+    check_length_cap,
     enumerate_primes,
     export_dot,
     graph_from_density,
@@ -34,6 +35,7 @@ from .quantum import (
     acceptance_probability,
     builtin_state,
     check_copy_caps,
+    check_isotropic_p,
     isotropic_state,
 )
 from .zeta import (
@@ -79,9 +81,7 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coefficient order must be at least 1")
     rho = _load_state(args)
     series = series_coeffs(trace_powers(rho, args.N), args.N)
-    lines = ["n,c_n"]
-    for n in range(1, args.N + 1):
-        lines.append(f"{n},{series[n]!r}")
+    lines = ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))]
     _write_output(args.out, "\n".join(lines) + "\n")
     if args.N >= 2:
         verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
@@ -113,9 +113,11 @@ def cmd_curve(args) -> int:
         curves = [("", _load_state(args))]
     else:
         lines = ["u,p,zeta_re,zeta_im,at_singularity"]
+        p_grid = np.linspace(args.p_min, args.p_max, args.p_steps).tolist()
+        for p in p_grid:
+            check_isotropic_p(p)
         # one state at a time: a surface may have up to _MAX_CURVE_ROWS / 2 of them
-        curves = ((f",{p!r}", isotropic_state(p))
-                  for p in np.linspace(args.p_min, args.p_max, args.p_steps).tolist())
+        curves = ((f",{p!r}", isotropic_state(p)) for p in p_grid)
     grid = np.linspace(args.u_min, args.u_max, args.steps).tolist()
     for p_column, rho in curves:
         rational = singularities(rho)
@@ -131,22 +133,22 @@ def cmd_curve(args) -> int:
 
 
 def cmd_primes(args) -> int:
-    g = graph_from_density(_load_state(args))
-    primes = enumerate_primes(g, args.L)
+    check_length_cap(args.L)
+    primes = enumerate_primes(graph_from_density(_load_state(args)), args.L)
     _write_output(args.out, primes_csv(primes))
     print(f"classes: {len(primes)}", file=sys.stderr)
     return 0
 
 
 def cmd_bose(args) -> int:
+    check_copy_caps(1, args.K)  # then the state's dim alone can fail the caps
     rho = _load_state(args)
     check_copy_caps(rho.dim, args.K)
     series = series_coeffs(trace_powers(rho, args.K), args.K)
     lines = ["k,acceptance,coefficient,abs_diff"]
     for k in range(1, args.K + 1):
         accept = acceptance_probability(rho, k)
-        diff = abs(accept - series[k])
-        lines.append(f"{k},{accept!r},{series[k]!r},{diff!r}")
+        lines.append(f"{k},{accept!r},{series[k]!r},{abs(accept - series[k])!r}")
     _write_output(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -206,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse argv and run its subcommand.  The shared --validation-tol is
     checked here; each cmd_* checks its own arguments, before it builds a
-    state unless the bound depends on the state (bose's copy caps, the
-    prime search bound)."""
+    state unless the bound depends on the state (bose's table cap at the
+    state's dim, the prime search bound)."""
     args = build_parser().parse_args(argv)
     try:
         check_tol(args.validation_tol)

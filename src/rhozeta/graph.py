@@ -192,6 +192,14 @@ class PrimeClasses:
 _ROW = 1 << (PRIME_LENGTH_CAP - 1).bit_length()
 
 
+def check_length_cap(length_cap: int) -> None:
+    """Raise unless 1 <= length_cap <= PRIME_LENGTH_CAP, a bound that needs no graph."""
+    if length_cap < 1:
+        raise ValueError("length cap must be at least 1")
+    if length_cap > PRIME_LENGTH_CAP:
+        raise CapExceeded(f"length cap {length_cap} exceeds hard cap {PRIME_LENGTH_CAP}")
+
+
 def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     """Enumerate prime classes of closed walks up to the given length.
 
@@ -222,10 +230,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     rows as the search takes steps, so memory is bounded by
     MAX_SEARCH_STEPS.
     """
-    if length_cap < 1:
-        raise ValueError("length cap must be at least 1")
-    if length_cap > PRIME_LENGTH_CAP:
-        raise CapExceeded(f"length cap {length_cap} exceeds hard cap {PRIME_LENGTH_CAP}")
+    check_length_cap(length_cap)
     steps = _search_steps(g, length_cap)
     if steps > MAX_SEARCH_STEPS:
         raise CapExceeded(

@@ -57,10 +57,15 @@ def _reduced(amps: np.ndarray) -> DensityMatrix:
     return partial_trace(rho, (2, rho.dim // 2), keep="B")
 
 
-def isotropic_state(p: float) -> DensityMatrix:
-    """Two-qubit interpolation: maximally entangled at p=0, maximally mixed at p=1."""
+def check_isotropic_p(p: float) -> None:
+    """Raise unless the isotropic parameter p lies in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise InvalidParameter(f"isotropic parameter must lie in [0, 1], got {p!r}")
+
+
+def isotropic_state(p: float) -> DensityMatrix:
+    """Two-qubit interpolation: maximally entangled at p=0, maximally mixed at p=1."""
+    check_isotropic_p(p)
     m = np.zeros((4, 4))
     m[0, 0] = m[3, 3] = (2.0 - p) / 4.0
     m[1, 1] = m[2, 2] = p / 4.0

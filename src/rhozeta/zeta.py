@@ -11,7 +11,7 @@ core correctness property of the package.
 
 import sys
 from dataclasses import dataclass
-from math import exp, inf, isfinite, log
+from math import copysign, exp, isfinite, log
 from operator import mul
 
 import numpy as np
@@ -56,9 +56,9 @@ class ZetaSeries:
 class ZetaRational:
     """Rational form 1/det(I - u*rho) = 1/prod(1 - u*lam) over the eigenvalues.
 
-    eigenvalues holds the eigenvalues above the zero threshold, ascending;
-    singularities is an ascending list of (location, multiplicity) pairs,
-    one location per group of reciprocal eigenvalues.
+    u is real.  eigenvalues holds those above the zero threshold, ascending;
+    singularities is an ascending list of (location, multiplicity) pairs, a
+    group being its first pole plus every pole within MULTIPLICITY_RTOL of it.
     """
 
     eigenvalues: tuple
@@ -169,72 +169,59 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
 
     Keeps the validated eigenvalues above the zero threshold, ascending as
     eigvalsh gives them; the singularities are their reciprocals, taken in
-    reverse so they ascend (division is monotone), merged into
-    multiplicities when they agree within 1e-8 relative.
+    reverse so they ascend (division is monotone).  A group is its first
+    pole, its location, plus every pole within MULTIPLICITY_RTOL of it.
     """
     eigenvalues = rho.eigenvalues[rho.eigenvalues > ZERO_TOL].tolist()
-    locations = [1.0 / lam for lam in reversed(eigenvalues)]
     groups = []
-    for u in locations:
-        if groups:
-            mean, count = groups[-1]
-            if abs(u - mean) <= MULTIPLICITY_RTOL * abs(mean):
-                groups[-1] = ((mean * count + u) / (count + 1), count + 1)
-                continue
-        groups.append((u, 1))
+    for u in [1.0 / lam for lam in reversed(eigenvalues)]:
+        if groups and u - groups[-1][0] <= MULTIPLICITY_RTOL * groups[-1][0]:
+            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
+        else:
+            groups.append((u, 1))
     return ZetaRational(eigenvalues=tuple(eigenvalues), singularities=tuple(groups))
 
 
-def _zeta_from_logs(eigenvalues, u: complex) -> complex:
-    """zeta_eval's form for a non-real u or a real product out of its range:
-    a log-magnitude sum times a unit phase.  A factor whose modulus overflows
-    is taken as 2*lam * (1/lam - u)/2, whose last term stays finite with its phase."""
-    log_mag = 0.0
-    phase = 1 + 0j
+def _zeta_from_logs(eigenvalues, x: float) -> float:
+    """zeta_eval's form for a product out of its range, its factors clear of
+    the poles: a log-magnitude sum with a sign.  A factor that overflows to
+    +-inf is taken as 2*lam * (1/lam - x)/2, whose last term stays finite."""
+    log_mag, sign = 0.0, 1.0
     for lam in eigenvalues:
-        factor = 1 - u * lam
-        try:
-            size = abs(factor)
-        except OverflowError:  # finite parts whose modulus exceeds the float range
-            size = inf
-        if size == inf:
-            factor = (1 / lam - u) / 2
-            size = abs(factor)
+        factor = 1 - x * lam
+        if not isfinite(factor):
+            factor = (1 / lam - x) / 2
             log_mag -= log(2 * lam)
-        elif size <= SINGULARITY_TOL * lam:
-            raise AtSingularity(f"u={u} lies within {SINGULARITY_TOL:.0e} of the pole at {1 / lam!r}")
-        log_mag -= log(size)
-        phase *= factor.conjugate() / size
+        log_mag -= log(abs(factor))
+        sign *= copysign(1.0, factor)
     if log_mag > _LOG_FLOAT_MAX:
-        raise AtSingularity(f"|zeta({u})| = exp({log_mag:.1f}) exceeds the float range")
-    return phase * exp(log_mag)
+        raise AtSingularity(f"|zeta({x})| = exp({log_mag:.1f}) exceeds the float range")
+    return sign * exp(log_mag)
 
 
 def zeta_eval(rational: ZetaRational, u) -> complex:
-    """Evaluate 1/prod(1 - u*lam), for a real u as one running float product z.
+    """Evaluate 1/prod(1 - u*lam) at a real u as one running float product z.
 
     Descending eigenvalues put the factors of modulus at least one first, so
     no partial product is below min(1, |z|); a float overflow gives +-inf.
-    For a non-real u, at a pole (|1 - u*lam| <= SINGULARITY_TOL * lam), or
-    where |z| leaves [2^-1000, 2^1000], _zeta_from_logs gives the value or
-    raises AtSingularity (also where |zeta| exceeds the float range).  Zero
-    parts come out as +0.0; a non-finite u raises ValueError.
+    A pole (|1 - u*lam| <= SINGULARITY_TOL * lam) raises AtSingularity;
+    where |z| leaves [2^-1000, 2^1000], _zeta_from_logs gives the value.  The
+    imaginary part is +0.0; a complex or non-finite u raises ValueError.
     """
-    u = complex(u)
-    if not (isfinite(u.real) and isfinite(u.imag)):
-        raise ValueError(f"u={u} is not finite")
-    if u.imag == 0:
-        x = u.real
-        z = 1.0
-        for lam in reversed(rational.eigenvalues):
-            factor = 1 - x * lam
-            if abs(factor) <= SINGULARITY_TOL * lam:
-                break
-            z *= factor
-        else:
-            if 2.0 ** -1000 <= abs(z) <= 2.0 ** 1000:
-                return 1 / z + 0j
-    return _zeta_from_logs(rational.eigenvalues, u) + 0j
+    if isinstance(u, (complex, np.complexfloating)):
+        raise ValueError(f"u={u} is not real")
+    x = float(u)
+    if not isfinite(x):
+        raise ValueError(f"u={x} is not finite")
+    z = 1.0
+    for lam in reversed(rational.eigenvalues):
+        factor = 1 - x * lam
+        if abs(factor) <= SINGULARITY_TOL * lam:
+            raise AtSingularity(f"u={x} lies within {SINGULARITY_TOL:.0e} of the pole at {1 / lam!r}")
+        z *= factor
+    if 2.0 ** -1000 <= abs(z) <= 2.0 ** 1000:
+        return 1 / z + 0j
+    return _zeta_from_logs(rational.eigenvalues, x) + 0j
 
 
 def is_separable_by_coeffs(

@@ -239,25 +239,19 @@ def series_coeffs_generator(power_sums, order: int) -> tuple:
     return tuple(c)
 
 
-def exact_zeta(eigenvalues, u) -> complex:
-    """1/prod(1 - u*lam) over float eigenvalues in exact rationals, rounded once per part.
+def exact_zeta(eigenvalues, u: float) -> float:
+    """1/prod(1 - u*lam) over float eigenvalues at a real float u, in exact rationals, rounded once.
 
     Every float is an integer over a power of two, so each factor 1 - u*lam
-    is a Gaussian integer over d_u * d_lam.  The product is kept as one
-    unreduced Gaussian-integer numerator over one integer denominator; only
-    the two final Fractions reduce.
+    is an integer over d_u * d_lam.  The product is kept as one unreduced
+    numerator over one denominator; only the final Fraction reduces.
     """
-    u = complex(u)
-    (ar, dr), (ai, di) = u.real.as_integer_ratio(), u.imag.as_integer_ratio()
-    du = max(dr, di)
-    ar, ai = ar * (du // dr), ai * (du // di)
-    re, im, den = 1, 0, 1
+    un, ud = float(u).as_integer_ratio()
+    num, den = 1, 1
     for lam in eigenvalues:
         n, d = float(lam).as_integer_ratio()
-        a, b = du * d - ar * n, -ai * n
-        re, im, den = re * a - im * b, re * b + im * a, den * du * d
-    norm = re * re + im * im
-    return complex(float(Fraction(den * re, norm)), float(Fraction(-den * im, norm)))
+        num, den = num * (ud * d - un * n), den * ud * d
+    return float(Fraction(den, num))
 
 
 def exact_power_sums(eigenvalues, m_max: int) -> tuple:

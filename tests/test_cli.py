@@ -611,6 +611,11 @@ def test_bose_checks_copy_dimension_before_work(monkeypatch, capsys):
     ["curve", "--state", "isotropic", "--p", "0.3", "--p-min", "0", "--p-max", "1", "--p-steps", "3"],
     ["curve", "--state", "plus", "--steps", "100001"],
     ["curve", "--state", "isotropic", "--steps", "50001", "--p-min", "0", "--p-max", "1", "--p-steps", "2"],
+    ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1.5", "--p-steps", "3"],
+    ["primes", "--state", "plus", "--L", "0"],
+    ["primes", "--state", "random", "--dim", "512", "--L", "15"],
+    ["bose", "--state", "plus", "--K", "0"],
+    ["bose", "--state", "plus", "--K", "13"],
 ], ids=" ".join)
 def test_refusals_come_before_any_state_is_built(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
