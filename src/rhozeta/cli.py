@@ -1,5 +1,7 @@
 """Command-line interface: graphs, coefficient tables, zeta curves, primes, and symmetry tests.
 
+Every text format the command prints lives here (graph and zeta return
+data only), and _write_output is the one writer of a command's lines.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
 validation errors.  All output files are byte-deterministic given the
@@ -15,11 +17,11 @@ import numpy as np
 from .errors import AtSingularity, CapExceeded, RhoZetaError
 from .graph import (
     PRIME_LENGTH_CAP,
+    PrimeClasses,
+    WeightedDigraph,
     check_length_cap,
     enumerate_primes,
-    export_dot,
     graph_from_density,
-    primes_csv,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -40,6 +42,7 @@ from .quantum import (
 )
 from .zeta import (
     DEFAULT_SEPARABILITY_TOL,
+    SeparabilityVerdict,
     is_separable_by_coeffs,
     series_coeffs,
     singularities,
@@ -58,7 +61,9 @@ def _load_state(args) -> DensityMatrix:
     return builtin_state(args.state, **given)
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, lines) -> None:
+    """Write the lines, each ending in a newline, to path ('-' for stdout); all are formed first."""
+    text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -66,9 +71,44 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
+def dot_lines(g: WeightedDigraph):
+    """Yield the graph as DOT lines: its vertices, then its edges in row-major order."""
+    yield "digraph G {"
+    for v in range(1, g.n_vertices + 1):
+        yield f"  v{v};"
+    origin, terminus = np.nonzero(g.weights)
+    for i, j, w in zip(origin.tolist(), terminus.tolist(), g.weights[origin, terminus].tolist()):
+        yield f'  v{i + 1} -> v{j + 1} [label="{w.real:.6g}{w.imag:+.6g}i"];'
+    yield "}"
+
+
+def primes_lines(primes: PrimeClasses):
+    """Yield the prime class table as CSV lines: nu, rep, norm_re, norm_im.
+
+    rep is the closed vertex path of the class, e.g. 1->2->1.
+    """
+    top = max((int(w.max()) for w in primes.words if w.size), default=0)
+    label = [str(v) for v in range(top + 1)]
+    yield "nu,rep,norm_re,norm_im"
+    for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
+        for word, re, im in zip(words.tolist(), norms.real.tolist(), norms.imag.tolist()):
+            path = "->".join([label[v] for v in word])
+            yield f"{nu},{path}->{label[word[0]]},{re!r},{im!r}"
+
+
+def verdict_text(v: SeparabilityVerdict) -> str:
+    """The verdict as the coeffs command prints it after 'verdict: '."""
+    note = " (caveat: pure-bipartite provenance not asserted)" if v.caveat else ""
+    if v.separable:
+        return f"separable by {v.method}{note}"
+    if v.method == "coefficients":
+        return f"entangled by {v.method}: n={v.failing_n}, c_n={v.value!r}{note}"
+    return f"entangled by {v.method}: u={v.value!r}{note}"
+
+
 def cmd_graph(args) -> int:
     g = graph_from_density(_load_state(args))
-    _write_output(args.out, export_dot(g))
+    _write_output(args.out, dot_lines(g))
     print(f"vertices: {g.n_vertices} edges: {g.n_edges}", file=sys.stderr)
     return 0
 
@@ -81,11 +121,10 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coefficient order must be at least 1")
     rho = _load_state(args)
     series = series_coeffs(trace_powers(rho, args.N), args.N)
-    lines = ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))]
-    _write_output(args.out, "\n".join(lines) + "\n")
+    _write_output(args.out, ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))])
     if args.N >= 2:
         verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
-        print(f"verdict: {verdict}", file=sys.stderr)
+        print(f"verdict: {verdict_text(verdict)}", file=sys.stderr)
         if not verdict.separable:
             return 1
     return 0
@@ -128,14 +167,14 @@ def cmd_curve(args) -> int:
                 lines.append(f"{u!r}{p_column},,,1")
             else:
                 lines.append(f"{u!r}{p_column},{value.real!r},{value.imag!r},0")
-    _write_output(args.out, "\n".join(lines) + "\n")
+    _write_output(args.out, lines)
     return 0
 
 
 def cmd_primes(args) -> int:
     check_length_cap(args.L)
     primes = enumerate_primes(graph_from_density(_load_state(args)), args.L)
-    _write_output(args.out, primes_csv(primes))
+    _write_output(args.out, primes_lines(primes))
     print(f"classes: {len(primes)}", file=sys.stderr)
     return 0
 
@@ -149,7 +188,7 @@ def cmd_bose(args) -> int:
     for k in range(1, args.K + 1):
         accept = acceptance_probability(rho, k)
         lines.append(f"{k},{accept!r},{series[k]!r},{abs(accept - series[k])!r}")
-    _write_output(args.out, "\n".join(lines) + "\n")
+    _write_output(args.out, lines)
     return 0
 
 

@@ -281,34 +281,3 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         word[:, t] = grown
         norm = complex_product(norm[parent], weights[edge])
     return PrimeClasses(words, norms)
-
-
-def _format_weight(w: complex) -> str:
-    return f"{w.real:.6g}{w.imag:+.6g}i"
-
-
-def export_dot(g: WeightedDigraph) -> str:
-    """Render the graph as DOT text with deterministic ordering."""
-    lines = ["digraph G {"]
-    for v in range(1, g.n_vertices + 1):
-        lines.append(f"  v{v};")
-    origin, terminus = np.nonzero(g.weights)
-    for i, j, w in zip(origin.tolist(), terminus.tolist(), g.weights[origin, terminus].tolist()):
-        lines.append(f'  v{i + 1} -> v{j + 1} [label="{_format_weight(w)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def primes_csv(primes: PrimeClasses) -> str:
-    """CSV table of prime classes: nu, rep, norm_re, norm_im.
-
-    rep is the closed vertex path of the class, e.g. 1->2->1.
-    """
-    top = max((int(w.max()) for w in primes.words if w.size), default=0)
-    label = [str(v) for v in range(top + 1)]
-    lines = ["nu,rep,norm_re,norm_im"]
-    for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
-        for word, re, im in zip(words.tolist(), norms.real.tolist(), norms.imag.tolist()):
-            path = "->".join([label[v] for v in word])
-            lines.append(f"{nu},{path}->{label[word[0]]},{re!r},{im!r}")
-    return "\n".join(lines) + "\n"

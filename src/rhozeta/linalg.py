@@ -186,7 +186,9 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 # {"dim": n, "entries": [[re, im], ...]} with n*n row-major entries.
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Decode the matrix JSON format, rejecting malformed payloads."""
+    """Decode the matrix JSON format, rejecting malformed payloads.  Each entry
+    is a list or tuple of two numbers of exact type int or float, as json.loads
+    gives them; bools, strings and subclasses such as np.float64 are refused."""
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with 'dim' and 'entries'")
     n = obj["dim"]
@@ -199,11 +201,9 @@ def matrix_from_json(obj) -> np.ndarray:
         raise DimensionMismatch(
             f"'entries' must hold {n * n} pairs for dim {n}, got {len(entries) if isinstance(entries, list) else 'non-list'}"
         )
-    number = (int, float)
     for idx, pair in enumerate(entries):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and isinstance(pair[0], number) and isinstance(pair[1], number)
-                and not isinstance(pair[0], bool) and not isinstance(pair[1], bool)):
+        if not (type(pair) in (list, tuple) and len(pair) == 2
+                and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
             raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
     try:
         out = np.array(entries, dtype=float).view(complex)

@@ -44,10 +44,6 @@ class ZetaSeries:
 
     coeffs: tuple
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1.0:
-            raise ValueError("series must start with constant coefficient 1")
-
     def __getitem__(self, n):
         return self.coeffs[n]
 
@@ -81,14 +77,6 @@ class SeparabilityVerdict:
     failing_n: int = None
     value: float = None
     caveat: bool = True
-
-    def __str__(self):
-        note = " (caveat: pure-bipartite provenance not asserted)" if self.caveat else ""
-        if self.separable:
-            return f"separable by {self.method}{note}"
-        if self.method == "coefficients":
-            return f"entangled by {self.method}: n={self.failing_n}, c_n={self.value!r}{note}"
-        return f"entangled by {self.method}: u={self.value!r}{note}"
 
 
 def _newton_coeffs(p):

@@ -20,6 +20,7 @@ from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.graph import PRIME_LENGTH_CAP
 from rhozeta.linalg import MAX_DIM
 from rhozeta.quantum import MAX_COPIES
+from rhozeta.zeta import is_separable_by_singularity
 
 
 def run_cli(args, capsys):
@@ -495,6 +496,20 @@ def test_random_dim_cap(capsys):
     code, out, err = run_cli(["coeffs", "--state", "random", "--dim", str(MAX_DIM + 1), "--N", "1"], capsys)
     assert code == 2
     assert out == "" and "CapExceeded" in err
+
+
+def test_random_dim_zero_is_an_input_error(capsys):
+    code, out, err = run_cli(["coeffs", "--state", "random", "--dim", "0"], capsys)
+    assert code == 2
+    assert out == "" and err == "error: ValueError: dim must be at least 1\n"
+
+
+def test_entangled_by_singularity_verdict_text():
+    rho = builtin_state("w-reduced")
+    for pure_bipartite, note in [(False, " (caveat: pure-bipartite provenance not asserted)"), (True, "")]:
+        verdict = is_separable_by_singularity(rho, pure_bipartite=pure_bipartite)
+        assert abs(verdict.value - 1.5) < 1e-12
+        assert cli.verdict_text(verdict) == f"entangled by singularity: u={verdict.value!r}{note}"
 
 
 # -- primes ---------------------------------------------------------------------

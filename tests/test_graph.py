@@ -9,6 +9,7 @@ import pytest
 
 from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows, search_steps_per_start
 from rhozeta import graph, zeta
+from rhozeta.cli import dot_lines, primes_lines
 from rhozeta.errors import AllLoops, CapExceeded, DimensionMismatch
 from rhozeta.graph import (
     LaplacianWeights,
@@ -17,9 +18,7 @@ from rhozeta.graph import (
     complex_product,
     density_from_weighted_graph,
     enumerate_primes,
-    export_dot,
     graph_from_density,
-    primes_csv,
 )
 from rhozeta.linalg import random_density, validate_density
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
@@ -144,6 +143,16 @@ def test_laplacian_weights_reject_missing_reverse():
 def test_laplacian_weights_reject_magnitude_mismatch():
     with pytest.raises(ValueError):
         LaplacianWeights(2, {(1, 2): 1.0, (2, 1): 2.0})
+
+
+@pytest.mark.parametrize("n_vertices,weights,message", [
+    (0, {}, "graph needs at least one vertex"),
+    (2, {(1, 3): 1.0}, "weight index (1, 3) outside vertex range"),
+    (2, {(0, 1): 1.0}, "weight index (0, 1) outside vertex range"),
+])
+def test_laplacian_weights_refuse_bad_vertices(n_vertices, weights, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LaplacianWeights(n_vertices, weights)
 
 
 # -- enumerate_primes -----------------------------------------------------------
@@ -343,7 +352,7 @@ def test_enumeration_matches_recursive_generator(family):
         length_cap = reference_length(g)
         primes = enumerate_primes(g, length_cap)
         assert hex_classes(primes) == hex_classes(enumerate_primes_recursive(g, length_cap)), g
-        assert primes_csv(primes).splitlines() == primes_csv_rows(primes).splitlines(), g
+        assert list(primes_lines(primes)) == primes_csv_rows(primes).splitlines(), g
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
@@ -423,9 +432,9 @@ _NODE_RE = re.compile(r"^v(\d+);$")
 _EDGE_RE = re.compile(rf'^v(\d+) -> v(\d+) \[label="({_FLOAT})([-+](?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)i"\];$')
 
 
-def parse_dot(text):
+def parse_dot(lines):
     """Strict grammar checker for the emitted DOT dialect; returns nodes, edges."""
-    lines = text.splitlines()
+    lines = list(lines)
     assert lines[0] == "digraph G {"
     assert lines[-1] == "}"
     nodes, edges = set(), {}
@@ -444,19 +453,18 @@ def parse_dot(text):
 
 def test_dot_contains_loop_line():
     g = graph_from_density(validate_density(np.array([[1.0]])))
-    assert "v1 -> v1" in export_dot(g)
+    assert any("v1 -> v1" in line for line in dot_lines(g))
 
 
 def test_dot_plus_graph_edge_count():
-    text = export_dot(graph_from_density(PLUS))
-    assert sum(1 for line in text.splitlines() if "->" in line) == 4
+    assert sum(1 for line in dot_lines(graph_from_density(PLUS)) if "->" in line) == 4
 
 
 def test_dot_round_trips_through_parser():
     for seed in (1, 5, 9):
         rho = random_density(3, seed)
         g = graph_from_density(rho)
-        nodes, edges = parse_dot(export_dot(g))
+        nodes, edges = parse_dot(dot_lines(g))
         assert nodes == set(range(1, g.n_vertices + 1))
         assert set(edges) == set(edge_set(g))
         for (i, j), w in edges.items():
@@ -468,8 +476,7 @@ def test_dot_round_trips_through_parser():
 
 def test_primes_csv_layout():
     primes = enumerate_primes(graph_from_density(PLUS), 2)
-    text = primes_csv(primes)
-    lines = text.strip().splitlines()
+    lines = list(primes_lines(primes))
     assert lines[0] == "nu,rep,norm_re,norm_im"
     assert len(lines) == 4
     assert lines[1].startswith("1,1->1,")

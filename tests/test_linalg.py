@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra layer."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -366,6 +367,20 @@ def test_json_dim_cap_is_inclusive(monkeypatch):
     assert matrix_from_json(matrix_to_json(np.eye(2) / 2)).shape == (2, 2)
     with pytest.raises(CapExceeded):
         matrix_from_json({"dim": 3, "entries": []})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: trace_powers(validate_density(PLUS), 0), "m_max must be at least 1"),
+    (lambda: partial_trace(bell_density(), (2, 2), "C"), "keep must be 'A' or 'B', got 'C'"),
+    (lambda: random_density(0, 0), "dim must be at least 1"),
+    (lambda: matrix_from_json([]), "matrix JSON must be an object with 'dim' and 'entries'"),
+    # exact JSON types: a float subclass, which json.loads never gives, is refused
+    (lambda: matrix_from_json({"dim": 1, "entries": [[np.float64(1.0), 0.0]]}),
+     "entry 0 is not a [re, im] pair of numbers"),
+], ids=["trace-powers", "partial-trace", "random-density", "json-list", "json-float64"])
+def test_out_of_range_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_load_matrix_refuses_file_above_byte_cap(tmp_path, monkeypatch):

@@ -29,7 +29,6 @@ from rhozeta.linalg import (
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
     MULTIPLICITY_RTOL,
-    ZetaSeries,
     euler_product_coeffs,
     is_separable_by_coeffs,
     is_separable_by_singularity,
@@ -74,9 +73,14 @@ def test_series_needs_enough_power_sums():
         series_coeffs([1.0, 0.5], 3)
 
 
-def test_series_constructor_guards_constant_term():
-    with pytest.raises(ValueError):
-        ZetaSeries((0.5, 1.0))
+@pytest.mark.parametrize("call,message", [
+    (lambda: series_coeffs([], -1), "order must be nonnegative"),
+    (lambda: euler_product_coeffs(enumerate_primes(graph_from_density(PLUS), 2), -1), "order must be nonnegative"),
+    (lambda: is_separable_by_coeffs(PLUS, 1), "order must be at least 2"),
+], ids=["series", "euler", "verdict"])
+def test_orders_out_of_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_series_coefficients_stay_in_unit_interval():
