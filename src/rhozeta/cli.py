@@ -1,7 +1,9 @@
 """Command-line interface: graphs, coefficient tables, zeta curves, primes, and symmetry tests.
 
 Every text format the command prints lives here (graph and zeta return
-data only), and _write_output is the one writer of a command's lines.
+data only), and _write_output is the one writer of a command's lines: it
+writes them in blocks as they are formatted, after the command has
+computed every value.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
 validation errors.  All output files are byte-deterministic given the
@@ -11,6 +13,8 @@ same invocation and seed.
 import argparse
 import math
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -53,6 +57,9 @@ from .zeta import (
 _MAX_COEFF_ORDER = 64
 _MAX_CURVE_ROWS = 100_000
 
+#: Rows of a prime table level formatted, and lines written, at a time.
+_SLICE = 1 << 16
+
 
 def _load_state(args) -> DensityMatrix:
     if args.file is not None:
@@ -62,13 +69,16 @@ def _load_state(args) -> DensityMatrix:
 
 
 def _write_output(path: str, lines) -> None:
-    """Write the lines, each ending in a newline, to path ('-' for stdout); all are formed first."""
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write the lines, each ending in a newline, to path ('-' for stdout), _SLICE lines at a time.
+
+    Every cmd_* computes every value, and raises every error, before it
+    calls this, and the lines only format those values: so a command that
+    exits 2 leaves stdout empty and creates no file.
+    """
+    lines = iter(lines)
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
+        while block := list(islice(lines, _SLICE)):
+            fh.write("\n".join(block) + "\n")
 
 
 def dot_lines(g: WeightedDigraph):
@@ -85,15 +95,19 @@ def dot_lines(g: WeightedDigraph):
 def primes_lines(primes: PrimeClasses):
     """Yield the prime class table as CSV lines: nu, rep, norm_re, norm_im.
 
-    rep is the closed vertex path of the class, e.g. 1->2->1.
+    rep is the closed vertex path of the class, e.g. 1->2->1.  Each level
+    is read in slices of _SLICE rows, so no more than one slice is
+    held as Python objects.
     """
     top = max((int(w.max()) for w in primes.words if w.size), default=0)
     label = [str(v) for v in range(top + 1)]
     yield "nu,rep,norm_re,norm_im"
     for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
-        for word, re, im in zip(words.tolist(), norms.real.tolist(), norms.imag.tolist()):
-            path = "->".join([label[v] for v in word])
-            yield f"{nu},{path}->{label[word[0]]},{re!r},{im!r}"
+        for start in range(0, len(norms), _SLICE):
+            part = slice(start, start + _SLICE)
+            for word, re, im in zip(words[part].tolist(), norms[part].real.tolist(), norms[part].imag.tolist()):
+                path = "->".join([label[v] for v in word])
+                yield f"{nu},{path}->{label[word[0]]},{re!r},{im!r}"
 
 
 def verdict_text(v: SeparabilityVerdict) -> str:
@@ -248,7 +262,7 @@ def main(argv=None) -> int:
     """Parse argv and run its subcommand.  The shared --validation-tol is
     checked here; each cmd_* checks its own arguments, before it builds a
     state unless the bound depends on the state (bose's table cap at the
-    state's dim, the prime search bound)."""
+    state's dim, the rows the prime search builds)."""
     args = build_parser().parse_args(argv)
     try:
         check_tol(args.validation_tol)

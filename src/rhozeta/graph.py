@@ -13,13 +13,13 @@ vertex sequence is a Lyndon word, and enumerate_primes generates each such
 word once, by a breadth-first prenecklace search over numpy arrays, one
 step per length: each level's words are rows of a fixed-width buffer,
 gathered whole with np.take, and two lookup tables over edge keys, built
-once per call, find every word's successors and closing edge.  A bound on
-the search's steps, one masked matrix product per length, refuses a search
-too large to run.  It returns PrimeClasses: per-length arrays of words and
-edge norms, iterated as PrimeClass items.  The search and the Euler
-expansion both multiply norms with complex_product, which rounds as
-Python's complex multiply does, bit for bit, so they give the same floats
-as a loop over Python numbers.
+once per call, find every word's successors and closing edge.  The search
+counts the rows it builds and refuses, before laying it out, a level that
+would take that count above MAX_SEARCH_STEPS.  It returns PrimeClasses:
+per-length arrays of words and edge norms, iterated as PrimeClass items.
+The search and the Euler expansion both multiply norms with
+complex_product, which rounds as Python's complex multiply does, bit for
+bit, so they give the same floats as a loop over Python numbers.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from .linalg import ZERO_TOL, DensityMatrix, as_square_matrix, validate_density
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
 
-#: Hard cap on the bound _search_steps puts on the prime search.
+#: Hard cap on the rows the prime search builds, summed over its levels.
 MAX_SEARCH_STEPS = 5_000_000
 
 
@@ -128,26 +128,6 @@ def density_from_weighted_graph(g: LaplacianWeights) -> DensityMatrix:
     return validate_density(laplacian / lap_trace)
 
 
-def _search_steps(g: WeightedDigraph, length_cap: int) -> float:
-    """Bound on the edges enumerate_primes appends: over start vertices s,
-    the walks of length 1..length_cap from s that stay on vertices >= s.
-    Every prenecklace the search visits is such a walk.
-
-    walks[s, v] counts the walks of the current length from s to v that
-    stay on vertices >= s; one n x n product with the 0/1 adjacency matrix,
-    masked to its upper triangle, steps every start vertex at once.
-    Counted in float64, exact below 2**53.
-    """
-    adjacency = (g.weights != 0).astype(float)
-    upper = np.triu(np.ones_like(adjacency))
-    walks = adjacency * upper
-    total = 0.0
-    for _ in range(length_cap):
-        total += walks.sum()
-        walks = (walks @ adjacency) * upper
-    return total
-
-
 def complex_product(a, b) -> np.ndarray:
     """Elementwise a * b of complex arrays, rounded as CPython rounds complex * complex.
 
@@ -209,8 +189,10 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     word is the class's canonical rotation.  Ruskey's prenecklace scheme
     builds each word once: a prenecklace of length t with period p grows
     along an edge to any successor >= its letter t - p, and it is a Lyndon
-    word exactly when p == t.  Cost is exponential in the cap, so a search
-    whose bound _search_steps exceeds MAX_SEARCH_STEPS is refused up front.
+    word exactly when p == t.  Cost is exponential in the cap, so the
+    search keeps a running count of the rows it builds, n for level 1 and
+    then each level's exact size, and raises CapExceeded before it lays out
+    a level that takes the count above MAX_SEARCH_STEPS.
 
     The search is breadth first.  Level t holds every prenecklace of length
     t as the first t letters of a row of a (count, _ROW) word buffer, with
@@ -226,16 +208,12 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     terminus order, so each level, and the classes taken from it, are in
     lexicographic order without a sort.  Norms are multiplied with
     complex_product, left to right from 1 + 0j, so each is the same float
-    as a product of Python complex numbers.  A level has at most as many
-    rows as the search takes steps, so memory is bounded by
-    MAX_SEARCH_STEPS.
+    as a product of Python complex numbers.  Every row held, in a level or
+    among the classes kept, is one the count took in, so memory is bounded
+    by MAX_SEARCH_STEPS rows; a refused search may first build up to that
+    many.
     """
     check_length_cap(length_cap)
-    steps = _search_steps(g, length_cap)
-    if steps > MAX_SEARCH_STEPS:
-        raise CapExceeded(
-            f"length cap {length_cap} needs {steps:.3g} search steps, above cap {MAX_SEARCH_STEPS}"
-        )
     n = g.n_vertices
     stride = n + 1
     letter = np.min_scalar_type(n)
@@ -254,6 +232,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     period = np.ones(n, dtype=np.uint8)
     norm = np.ones(n, dtype=complex)
     words, norms = [], []
+    built = n
     for t in range(1, length_cap + 1):
         row = word[:, t - 1].astype(np.intp) * stride  # the keys of the last letter's edges start here
         lyndon = np.flatnonzero(period == t)
@@ -270,6 +249,11 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         last_level = t + 1 == length_cap
         first = first_edge[row + floor + last_level]
         counts = first_edge[row + stride] - first
+        built += int(counts.sum())
+        if built > MAX_SEARCH_STEPS:
+            raise CapExceeded(
+                f"length cap {length_cap} builds at least {built} search rows, above cap {MAX_SEARCH_STEPS}"
+            )
         parent = np.repeat(np.arange(len(word)), counts)
         edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         grown = termini[edge]

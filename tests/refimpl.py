@@ -271,30 +271,14 @@ def exact_power_sums(eigenvalues, m_max: int) -> tuple:
     return tuple(values)
 
 
-def search_steps_per_start(g, length_cap: int) -> float:
-    """The prime search's step bound, one start vertex s at a time.
-
-    Sums the walks of length 1..length_cap from s on the subgraph of
-    vertices >= s, one vector-matrix product per length, in float64.
-    """
-    adjacency = (g.weights != 0).astype(float)
-    total = 0.0
-    for s in range(g.n_vertices):
-        sub = adjacency[s:, s:]
-        walks = sub[0]
-        for _ in range(length_cap):
-            total += walks.sum()
-            walks = walks @ sub
-    return total
-
-
-def enumerate_primes_recursive(g, length_cap: int) -> list:
+def enumerate_primes_recursive(g, length_cap: int, visits=None) -> list:
     """Prime classes of g up to length_cap, by Ruskey's recursive generator.
 
     One call of gen(t, p, norm) per prenecklace, depth first, one
     PrimeClass per class, each norm a product of Python complex numbers
-    from 1 + 0j.  Returns the classes sorted by (nu, rep).  No caps are
-    checked; callers keep the graph small.
+    from 1 + 0j.  Returns the classes sorted by (nu, rep).  If visits is a
+    list, each call appends its prenecklace's (length, period).  No caps
+    are checked; callers keep the graph small.
     """
     out_edges = {v: {} for v in range(1, g.n_vertices + 1)}
     for i, row in enumerate(g.weights.tolist(), start=1):
@@ -307,6 +291,8 @@ def enumerate_primes_recursive(g, length_cap: int) -> list:
     def gen(t, p, norm):
         # word holds t vertices with period p; walk holds its t - 1 edges,
         # whose weights multiply to norm
+        if visits is not None:
+            visits.append((t, p))
         if p == t and word[0] in out_edges[word[-1]]:
             edge, weight = out_edges[word[-1]][word[0]]
             by_length[t].append(PrimeClass(rep=(*walk, edge), nu=t, edge_norm=norm * weight))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refimpl import save_matrix
-from rhozeta import cli, linalg
+from rhozeta import cli, graph, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.graph import PRIME_LENGTH_CAP
 from rhozeta.linalg import MAX_DIM
@@ -548,7 +548,9 @@ def test_primes_cap(capsys):
 
 
 def test_primes_refuses_dense_search(capsys):
-    # about 5.9e12 search steps: without the cap this never finishes
+    # the search builds 2,859,128 rows up to length 8, then is refused before
+    # laying out length 9, which would take it to 20,219,744; uncapped, its
+    # last level alone would hold about 3.1e11 Lyndon words
     code, out, err = run_cli(["primes", "--state", "random", "--dim", "8", "--L", "14"], capsys)
     assert code == 2
     assert out == "" and "CapExceeded" in err
@@ -657,6 +659,25 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     for state in ("random", "isotropic"):
         args = ["coeffs", "--state", state]
         assert run_cli(args, capsys) == run_cli(args + explicit, capsys), state
+
+
+def test_output_does_not_depend_on_the_write_block(tmp_path, capsys, monkeypatch):
+    # plus at --L 4 prints 9 lines: blocks of 3 divide them, blocks of 4 do not
+    argv = ["primes", "--state", "plus", "--L", "4"]
+    expected = run_cli(argv, capsys)
+    for size in (1, 3, 4):
+        monkeypatch.setattr(cli, "_SLICE", size)
+        assert run_cli(argv, capsys) == expected, size
+        out = tmp_path / f"{size}.csv"
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        assert out.read_text() == expected[1], size
+    # the row cap is checked after the state is built, and its refusal
+    # still writes nothing
+    monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", 10)
+    out = tmp_path / "refused.csv"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert (code, stdout, out.exists()) == (2, "", False)
+    assert err.startswith("error: CapExceeded: length cap 4 builds at least")
 
 
 def test_csv_round_trip_is_idempotent(tmp_path, capsys):

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows, search_steps_per_start
-from rhozeta import graph, zeta
+from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows
+from rhozeta import cli, graph, zeta
 from rhozeta.cli import dot_lines, primes_lines
 from rhozeta.errors import AllLoops, CapExceeded, DimensionMismatch
 from rhozeta.graph import (
@@ -199,17 +199,6 @@ def test_cap_exceeded():
         enumerate_primes(graph_from_density(PLUS), 15)
 
 
-def test_search_step_cap(monkeypatch):
-    # the plus graph is complete with loops: from vertex 1 the search
-    # appends 2 + 4 + 8 edges up to length 3, from vertex 2 another 1 + 1 + 1
-    g = graph_from_density(PLUS)
-    monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", 17)
-    assert len(enumerate_primes(g, 3)) == 5
-    monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", 16)
-    with pytest.raises(CapExceeded, match="17 search steps"):
-        enumerate_primes(g, 3)
-
-
 def test_length_one_norms_sum_to_trace():
     """sum over classes with nu | m of nu * N(P)^(m/nu) equals tr(rho^m) for
     every m up to the cap; m = 1 says the loop norms sum to the trace."""
@@ -285,11 +274,11 @@ def test_prime_count_matches_necklace_census():
 
 
 def test_large_frontier_counts_lyndon_words():
-    """A complete graph with loops on 6 vertices at L = 8 takes about 2.6e6
-    search steps; each length nu has (1/nu) sum_{d | nu} mu(d) 6^(nu/d)
+    """A complete graph with loops on 6 vertices at L = 8 builds 271,654
+    search rows; each length nu has (1/nu) sum_{d | nu} mu(d) 6^(nu/d)
     classes, the Lyndon words of length nu over 6 letters."""
     g = graph_from_density(random_density(6, 1))
-    assert g.n_edges == 36 and graph._search_steps(g, 8) > 2.5e6
+    assert g.n_edges == 36
     primes = enumerate_primes(g, 8)
     counts = [len(norms) for norms in primes.norms]
     lyndon = [sum(mobius(d) * 6 ** (nu // d) for d in range(1, nu + 1) if nu % d == 0) // nu
@@ -337,9 +326,24 @@ REFERENCE_GRAPHS = {
 }
 
 
+#: A reference length's search finds at most this many classes, for the
+#: per-class Euler loop, and builds at most this many rows, about the calls
+#: the recursive generator makes.  No graph above gets a longer reference
+#: length than the walk bound the search was once capped by gave it.
+REFERENCE_CLASSES, REFERENCE_ROWS = 1_000, 10_000
+
+
 def reference_length(g):
-    """The longest cap up to 14 whose search stays small enough to run the reference."""
-    return max(cap for cap in range(1, graph.PRIME_LENGTH_CAP + 1) if graph._search_steps(g, cap) <= 20_000)
+    """The longest cap up to 14 whose search stays small enough to run the references."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "MAX_SEARCH_STEPS", REFERENCE_ROWS)
+        for cap in range(2, graph.PRIME_LENGTH_CAP + 1):
+            try:
+                if len(enumerate_primes(g, cap)) > REFERENCE_CLASSES:
+                    return cap - 1
+            except CapExceeded:
+                return cap - 1
+    return graph.PRIME_LENGTH_CAP
 
 
 def hex_classes(primes):
@@ -347,12 +351,16 @@ def hex_classes(primes):
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
-def test_enumeration_matches_recursive_generator(family):
+def test_enumeration_matches_recursive_generator(family, monkeypatch):
     for g in REFERENCE_GRAPHS[family]():
         length_cap = reference_length(g)
         primes = enumerate_primes(g, length_cap)
         assert hex_classes(primes) == hex_classes(enumerate_primes_recursive(g, length_cap)), g
-        assert list(primes_lines(primes)) == primes_csv_rows(primes).splitlines(), g
+        rows = primes_csv_rows(primes).splitlines()
+        assert list(primes_lines(primes)) == rows, g
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_SLICE", 7)  # levels of more than 7 classes span slices
+            assert list(primes_lines(primes)) == rows, g
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
@@ -371,11 +379,23 @@ def test_euler_matches_per_class_loop(family, monkeypatch):
             assert [c.hex() for c in coeffs] == [c.real.hex() for c in expected], (g, order)
 
 
-@pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
-def test_search_steps_match_per_start_vertex_loop(family):
-    for g in REFERENCE_GRAPHS[family]():
-        for length_cap in range(1, graph.PRIME_LENGTH_CAP + 1):
-            assert graph._search_steps(g, length_cap) == search_steps_per_start(g, length_cap), (g, length_cap)
+def test_search_step_cap(monkeypatch):
+    """The search builds one row per prenecklace shorter than the cap, and
+    on its last level one per successor above the floor letter, which the
+    recursive generator visits as the prenecklaces whose period is the cap:
+    it runs at a cap of exactly that many rows and is refused at one less."""
+    graphs = [g for family in ("dense", "sparse", "wide") for g in REFERENCE_GRAPHS[family]()]
+    for g in graphs:
+        length_cap = reference_length(g)
+        assert length_cap >= 2, g  # the count is checked from the second level on
+        visits = []
+        enumerate_primes_recursive(g, length_cap, visits)
+        rows = sum(1 for t, p in visits if t < length_cap or p == length_cap)
+        monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", rows)
+        enumerate_primes(g, length_cap)
+        monkeypatch.setattr(graph, "MAX_SEARCH_STEPS", rows - 1)
+        with pytest.raises(CapExceeded, match=f"length cap {length_cap} builds at least {rows} search rows"):
+            enumerate_primes(g, length_cap)
 
 
 def test_words_are_count_by_length_arrays_of_the_smallest_letter_dtype():

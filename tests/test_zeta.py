@@ -20,6 +20,7 @@ from rhozeta.errors import (
 )
 from rhozeta.graph import PRIME_LENGTH_CAP, PrimeClasses, enumerate_primes, graph_from_density
 from rhozeta.linalg import (
+    MAX_DIM,
     ZERO_TOL,
     partial_trace,
     random_density,
@@ -491,6 +492,19 @@ def test_three_routes_agree_on_random_states():
             partition_sum = cycle_index(n, p[:n])
             assert abs(newton[n] - euler[n]) < 1e-8
             assert abs(newton[n] - partition_sum) < 1e-8
+
+
+def test_euler_route_runs_at_the_largest_dim():
+    """A dense state at linalg.MAX_DIM has 131,328 classes up to length 2,
+    and the search builds one row for each, so the Euler route gives c_1
+    and c_2 at every dim the CLI accepts."""
+    rho = random_density(MAX_DIM, 0)
+    primes = enumerate_primes(graph_from_density(rho), 2)
+    assert len(primes) == 131_328
+    euler = euler_product_coeffs(primes, 2)
+    newton = series_coeffs(trace_powers(rho, 2), 2)
+    for n in range(3):
+        assert abs(newton[n] - euler[n]) < 1e-12, n
 
 
 def test_basis_invariance_of_coefficients():
