@@ -11,6 +11,7 @@ core correctness property of the package.
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import copysign, exp, isfinite, log
 from operator import mul
 
@@ -79,19 +80,22 @@ class SeparabilityVerdict:
     caveat: bool = True
 
 
-def _newton_coeffs(p):
-    """Yield c_1, c_2, ..., c_len(p) from the power sums p, a sequence of floats.
+@lru_cache(maxsize=1)
+def _newton_coeffs(p: tuple) -> tuple:
+    """c_1, c_2, ..., c_len(p) from the power sums p, a tuple of floats.
 
     c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}.  The sum pairs p
     with the coefficients so far in reverse and adds the products in order
     of m with the builtin sum, so each c_n is the same float whatever the
-    length of p, and a consumer that stops early has paid only for the
-    coefficients it read.
+    length of p.  The result is memoized on p, one entry deep, so
+    is_separable_by_coeffs after series_coeffs on the same power sums is a
+    lookup.  Equal tuples give equal coefficients: the builtin sum starts
+    from the integer 0, so the sign of a zero in p never reaches a c_n.
     """
     c = [1.0]
     for n in range(1, len(p) + 1):
         c.append(sum(map(mul, p, reversed(c))) / n)
-        yield c[n]
+    return tuple(c[1:])
 
 
 def series_coeffs(power_sums, order: int) -> ZetaSeries:
@@ -100,14 +104,14 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
     c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}, which is the
     expansion of exp(sum_m p_m u^m / m) and, term for term, the cycle
     index of the symmetric group at x_m = p_m.  The recurrence is the one
-    in _newton_coeffs, which is_separable_by_coeffs also reads.
+    in _newton_coeffs, memoized there on power_sums[:order] as a tuple of
+    floats, one entry deep; is_separable_by_coeffs reads the same memo.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = [float(v) for v in power_sums]
-    if len(p) < order:
-        raise InsufficientPowerSums(f"need {order} power sums, got {len(p)}")
-    return ZetaSeries((1.0, *_newton_coeffs(p[:order])))
+    if len(power_sums) < order:
+        raise InsufficientPowerSums(f"need {order} power sums, got {len(power_sums)}")
+    return ZetaSeries((1.0, *_newton_coeffs(tuple(map(float, power_sums[:order])))))
 
 
 def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
@@ -152,6 +156,7 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     return ZetaSeries(tuple(c.real for c in coeffs))
 
 
+@lru_cache(maxsize=1)
 def singularities(rho: DensityMatrix) -> ZetaRational:
     """Rational form of the zeta function with its singularity list.
 
@@ -159,6 +164,9 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
     eigvalsh gives them; the singularities are their reciprocals, taken in
     reverse so they ascend (division is monotone).  A group is its first
     pole, its location, plus every pole within MULTIPLICITY_RTOL of it.
+    The result is memoized on the state object, one entry deep (the memo
+    keeps that state alive until the next call with another), so a call
+    after is_separable_by_singularity on the same state is a lookup.
     """
     eigenvalues = rho.eigenvalues[rho.eigenvalues > ZERO_TOL].tolist()
     groups = []
@@ -220,12 +228,13 @@ def is_separable_by_coeffs(
 ) -> SeparabilityVerdict:
     """Coefficient criterion: separable iff every series coefficient is one.
 
-    Checks n = 1..order and returns at the first coefficient away from
-    one, so the recurrence runs no further than that n; n = 2 alone is
-    decisive in exact arithmetic (it measures purity), larger orders serve
-    as diagnostics.  rho_b must be the reduced state of a pure bipartite
-    state for the verdict to mean separability; pass pure_bipartite=True
-    to clear the caveat flag.
+    Checks n = 1..order and reports the first coefficient away from one.
+    The coefficients come from _newton_coeffs on trace_powers(rho_b,
+    order), so after series_coeffs on those power sums they are a lookup.
+    n = 2 alone is decisive in exact arithmetic (it measures purity),
+    larger orders serve as diagnostics.  rho_b must be the reduced state
+    of a pure bipartite state for the verdict to mean separability; pass
+    pure_bipartite=True to clear the caveat flag.
     """
     if order < 2:
         raise ValueError("order must be at least 2")

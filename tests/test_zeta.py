@@ -30,6 +30,7 @@ from rhozeta.linalg import (
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
     MULTIPLICITY_RTOL,
+    _newton_coeffs,
     euler_product_coeffs,
     is_separable_by_coeffs,
     is_separable_by_singularity,
@@ -100,10 +101,45 @@ def test_series_matches_generator_form_bit_for_bit():
         length = int(rng.integers(0, 65))
         scale = 10.0 ** rng.uniform(-3, 3)
         cases.append(tuple(scale * rng.standard_normal(length)))
+    # equal as values, apart in a zero's sign: each must give its own bits
+    cases += [(0.0, 1.0), (-0.0, 1.0)]
+
+    def check(p, order):
+        got = [c.hex() for c in series_coeffs(p, order).coeffs]
+        assert got == [c.hex() for c in series_coeffs_generator(p, order)], (p, order)
+
+    # A, B, A: a memo that hands one key's coefficients to another fails
+    for a, b in zip(cases, cases[1:]):
+        for p in (a, b, a):
+            check(p, len(p))
     for p in cases:
-        for order in {len(p), len(p) // 2}:
-            got = [c.hex() for c in series_coeffs(p, order).coeffs]
-            assert got == [c.hex() for c in series_coeffs_generator(p, order)]
+        check(p, len(p) // 2)
+
+
+@pytest.mark.parametrize("name", ["plus", "bell-reduced", "w-reduced"])
+def test_verdicts_reuse_the_memos_of_their_routes(name):
+    rho = builtin_state(name)
+    series = series_coeffs(trace_powers(rho, 64), 64)
+    before = _newton_coeffs.cache_info()
+    verdict = is_separable_by_coeffs(rho, 64)
+    after = _newton_coeffs.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    if verdict.separable:
+        assert all(abs(c - 1.0) <= 1e-6 for c in series.coeffs)
+    else:
+        assert verdict.value.hex() == series[verdict.failing_n].hex()
+
+    is_separable_by_singularity(rho)
+    misses = singularities.cache_info().misses
+    assert singularities(rho) is singularities(rho)
+    assert singularities.cache_info().misses == misses
+
+    # a state's partial trace is another state, with its own rational form
+    joint = validate_density(np.kron(rho.matrix, np.eye(2) / 2))
+    reduced = partial_trace(joint, (rho.dim, 2), keep="A")
+    for state in (joint, reduced, joint):
+        expected = state.eigenvalues[state.eigenvalues > ZERO_TOL].tolist()
+        assert singularities(state).eigenvalues == tuple(expected)
 
 
 # -- cycle_index -------------------------------------------------------------------
