@@ -17,7 +17,7 @@ two can cross-check each other.
 """
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice
+from itertools import chain, combinations_with_replacement
 from math import comb, sqrt
 
 import numpy as np
@@ -27,9 +27,11 @@ from .linalg import DensityMatrix, partial_trace, random_density, validate_densi
 
 #: Caps of the acceptance oracle.  Its recurrence spends k 2^(k-1) complex multiply-adds
 #: on each of the C(d+k-1, k) multisets, k/2 per entry of a C(d+k-1, k) 2^k table, so the
-#: table cap bounds work, not memory: the multisets go through in chunks, and one complex
-#: value per multiset is all that is held for the whole run.  Each cap edge, (512, 2) to
-#: (3, 12), takes 14 to 29 ms with a traced peak under 3 MiB (best of 5, 2-vCPU Xeon).
+#: table cap bounds work, not memory: the multisets go through in chunks, and a run holds
+#: one complex value per multiset beside the (d, k) multiset table, k small indices and
+#: one float per multiset (at most 1.5 MiB, at (512, 2)).  At most MAX_COPIES tables are
+#: kept, enough for every k of one `bose --K` run.  A call that builds its table peaks
+#: under 5 MiB traced at every cap edge, (512, 2) to (3, 12).
 MAX_COPIES = 12
 MAX_PERMANENT_TABLE = 2**20
 
@@ -148,6 +150,28 @@ def _layer_plan(k: int) -> tuple:
     return tuple(plan)
 
 
+@lru_cache(maxsize=MAX_COPIES)
+def _multisets(d: int, k: int) -> tuple:
+    """The C(d+k-1, k) multisets of k indices below d, and each one's alpha!, both read-only.
+
+    The table is k x C in the narrowest unsigned dtype that holds d - 1:
+    column j is the j-th sorted tuple of combinations_with_replacement, so
+    row a holds every multiset's a-th smallest index.  alpha! is float64.
+    """
+    count = comb(d + k - 1, k)
+    table = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d), k)),
+                        dtype=np.min_scalar_type(d - 1), count=count * k)
+    table = np.ascontiguousarray(table.reshape(count, k).T)
+    weights = np.ones(count)
+    run = np.ones(count)
+    for a in range(1, k):
+        run = np.where(table[a] == table[a - 1], run + 1.0, 1.0)
+        weights *= run
+    table.flags.writeable = False
+    weights.flags.writeable = False
+    return table, weights
+
+
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     """Acceptance probability of the k-copy symmetry test on rho.
 
@@ -171,24 +195,20 @@ def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     The last layer, one subset, adds its k member rows with an accumulate:
     when m = 1 its sum would be over k lone entries, which numpy adds
     pairwise, in another order, once k >= 8.  The cost is
-    O(C(d+k-1, k) k 2^k) time; memory is one complex value per multiset
-    plus a chunk's temporaries.
+    O(C(d+k-1, k) k 2^k) time; memory is one complex value per multiset,
+    the (d, k) multiset table of _multisets, built on the first call for
+    its shape and kept, and a chunk's temporaries.
     """
     check_copy_caps(rho.dim, k)
     plan = _layer_plan(k)
+    table, weights = _multisets(rho.dim, k)
     chunk = _CHUNK_ENTRIES >> k
-    multisets = combinations_with_replacement(range(rho.dim), k)
-    values = np.empty(comb(rho.dim + k - 1, k), dtype=complex)
+    values = np.empty(len(weights), dtype=complex)
     for start in range(0, len(values), chunk):
-        m = min(chunk, len(values) - start)
-        idx = np.fromiter(chain.from_iterable(islice(multisets, m)), dtype=np.intp, count=m * k)
-        idx = np.ascontiguousarray(idx.reshape(m, k).T)
+        idx = table[:, start:start + chunk]
+        weight = weights[start:start + chunk]
+        m = len(weight)
         entry = rho.matrix[idx[:, None, :], idx[None, :, :]].reshape(k * k, m)
-        weight = np.ones(m)
-        run = np.ones(m)
-        for a in range(1, k):
-            run = np.where(idx[a] == idx[a - 1], run + 1.0, 1.0)
-            weight *= run
         perm = np.ones((1, m), dtype=complex)
         for s, (source, column) in enumerate(plan, start=1):
             terms = np.take(perm, source, axis=0)

@@ -2,7 +2,8 @@
 
 import math
 import tracemalloc
-from itertools import permutations
+from collections import Counter
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -291,16 +292,44 @@ def test_acceptance_matches_subset_loop_bit_for_bit():
     cases += [(random_density(_max_dim(k), 1200 + k), k) for k in (2, 3, 4, 5, 6, 8, 12)]
     # a one-dimensional state: one multiset, so the last layer adds k lone entries
     cases += [(validate_density([[1 + 3e-10]]), k) for k in range(1, MAX_COPIES + 1)]
-    for rho, k in cases:
-        assert acceptance_probability(rho, k) == acceptance_subsets(rho, k), (rho.dim, k)
+    expected = [acceptance_subsets(rho, k) for rho, k in cases]
+    # A, B, A over consecutive shapes from a cleared table cache, so a table
+    # kept for another d or another k gives a wrong value or fails
+    quantum._multisets.cache_clear()
+    for i in range(len(cases) - 1):
+        for j in (i, i + 1, i):
+            rho, k = cases[j]
+            assert acceptance_probability(rho, k) == expected[j], (rho.dim, k)
+
+
+def test_multiset_table_is_built_once_per_shape():
+    quantum._multisets.cache_clear()
+    for seed in (1, 2):
+        acceptance_probability(random_density(4, seed), 3)
+    info = quantum._multisets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    acceptance_probability(random_density(5, 1), 3)
+    info = quantum._multisets.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    for d, k in ((4, 3), (5, 3)):
+        table, weights = quantum._multisets(d, k)
+        multisets = list(combinations_with_replacement(range(d), k))
+        assert [tuple(column) for column in table.T.tolist()] == multisets
+        assert weights.tolist() == [math.prod(map(math.factorial, Counter(a).values())) for a in multisets]
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
 
 def test_acceptance_memory_is_bounded_at_cap_edges():
-    # one complex value per multiset (2 MiB at (91, 3) and (512, 2)) plus a
-    # chunk's temporaries; the per-subset loop, holding all 2^k vectors and the
-    # whole gather, peaks at 22 to 41 MiB on these
+    # one complex value per multiset (2 MiB at (91, 3) and (512, 2)), plus the
+    # shape's multiset table (1.4 and 1.5 MiB), built inside the traced call
+    # from a cleared cache, plus a chunk's temporaries; the per-subset loop,
+    # holding all 2^k vectors and the whole gather, peaks at 22 to 41 MiB on these
     for d, k in ((91, 3), (33, 4), (512, 2)):
         rho = random_density(d, 1300 + k)
+        quantum._multisets.cache_clear()
         tracemalloc.start()
         try:
             acceptance_probability(rho, k)
