@@ -6,19 +6,21 @@ writes them in blocks as they are formatted, after the command has
 computed every value.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
-validation errors.  All output files are byte-deterministic given the
-same invocation and seed.
+validation errors; a reader that closes stdout early is not an error
+(exit 0, as `rhozeta ... | head` expects).  All output files are
+byte-deterministic given the same invocation and seed.
 """
 
 import argparse
 import math
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
 
 import numpy as np
 
-from .errors import AtSingularity, CapExceeded, RhoZetaError
+from .errors import CapExceeded, RhoZetaError
 from .graph import (
     PRIME_LENGTH_CAP,
     PrimeClasses,
@@ -50,7 +52,7 @@ from .zeta import (
     is_separable_by_coeffs,
     series_coeffs,
     singularities,
-    zeta_eval,
+    zeta_values,
 )
 
 # Size caps, checked before any state is built or array allocated.
@@ -173,14 +175,8 @@ def cmd_curve(args) -> int:
         curves = ((f",{p!r}", isotropic_state(p)) for p in p_grid)
     grid = np.linspace(args.u_min, args.u_max, args.steps).tolist()
     for p_column, rho in curves:
-        rational = singularities(rho)
-        for u in grid:
-            try:
-                value = zeta_eval(rational, u)
-            except AtSingularity:
-                lines.append(f"{u!r}{p_column},,,1")
-            else:
-                lines.append(f"{u!r}{p_column},{value.real!r},{value.imag!r},0")
+        for u, value in zip(grid, zeta_values(singularities(rho), grid).tolist()):
+            lines.append(f"{u!r}{p_column},{value!r},0.0,0" if math.isfinite(value) else f"{u!r}{p_column},,,1")
     _write_output(args.out, lines)
     return 0
 
@@ -267,6 +263,10 @@ def main(argv=None) -> int:
     try:
         check_tol(args.validation_tol)
         return args.run(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (RhoZetaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -9,10 +9,9 @@ graph of rho.  The three routes cross-check each other; agreement is the
 core correctness property of the package.
 """
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import copysign, exp, isfinite, log
+from math import isfinite
 from operator import mul
 
 import numpy as np
@@ -36,7 +35,6 @@ DEFAULT_SEPARABILITY_TOL = 1e-6
 SINGULARITY_TOL = 1e-6
 
 _IMAG_TOL = 1e-9
-_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -178,31 +176,35 @@ def singularities(rho: DensityMatrix) -> ZetaRational:
     return ZetaRational(eigenvalues=tuple(eigenvalues), singularities=tuple(groups))
 
 
-def _zeta_from_logs(eigenvalues, x: float) -> float:
-    """zeta_eval's form for a product out of its range, its factors clear of
-    the poles: a log-magnitude sum with a sign.  A factor that overflows to
-    +-inf is taken as 2*lam * (1/lam - x)/2, whose last term stays finite."""
-    log_mag, sign = 0.0, 1.0
-    for lam in eigenvalues:
-        factor = 1 - x * lam
-        if not isfinite(factor):
-            factor = (1 / lam - x) / 2
-            log_mag -= log(2 * lam)
-        log_mag -= log(abs(factor))
-        sign *= copysign(1.0, factor)
-    if log_mag > _LOG_FLOAT_MAX:
-        raise AtSingularity(f"|zeta({x})| = exp({log_mag:.1f}) exceeds the float range")
-    return sign * exp(log_mag)
+def zeta_values(rational: ZetaRational, grid) -> np.ndarray:
+    """1/prod(1 - u*lam) at each finite real u of grid, nan at a pole, inf past the float range.
+
+    One numpy step per eigenvalue, descending, takes the factor's exact half
+    h = 0.5 - (0.5*u)*lam, finite where u*lam overflows, into a mantissa and
+    a binary exponent that starts at len(eigenvalues) for the halving.
+    Power-of-two scaling is exact: where zeta_eval's float product stays
+    normal, each step rounds as it does.
+    """
+    x = np.asarray(grid, dtype=float)
+    m = np.ones_like(x)
+    exponent = np.full(x.shape, len(rational.eigenvalues))
+    with np.errstate(all="ignore"):
+        for lam in reversed(rational.eigenvalues):
+            h = 0.5 - (0.5 * x) * lam
+            h[np.abs(h) <= (0.5 * SINGULARITY_TOL) * lam] = np.nan
+            m, e = np.frexp(m * h)
+            exponent += e
+        return np.ldexp(1 / m, -exponent)
 
 
 def zeta_eval(rational: ZetaRational, u) -> complex:
     """Evaluate 1/prod(1 - u*lam) at a real u as one running float product z.
 
     Descending eigenvalues put the factors of modulus at least one first, so
-    no partial product is below min(1, |z|); a float overflow gives +-inf.
-    A pole (|1 - u*lam| <= SINGULARITY_TOL * lam) raises AtSingularity;
-    where |z| leaves [2^-1000, 2^1000], _zeta_from_logs gives the value.  The
-    imaginary part is +0.0; a complex or non-finite u raises ValueError.
+    no partial product is below min(1, |z|).  A pole (|1 - u*lam| <=
+    SINGULARITY_TOL * lam), or a value past the float range, raises
+    AtSingularity; where |z| leaves [2^-1000, 2^1000], zeta_values gives the
+    value.  The imaginary part is +0.0; a complex or non-finite u raises ValueError.
     """
     if isinstance(u, (complex, np.complexfloating)):
         raise ValueError(f"u={u} is not real")
@@ -217,7 +219,10 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
         z *= factor
     if 2.0 ** -1000 <= abs(z) <= 2.0 ** 1000:
         return 1 / z + 0j
-    return _zeta_from_logs(rational.eigenvalues, x) + 0j
+    value = complex(zeta_values(rational, [x])[0])
+    if not isfinite(value.real):
+        raise AtSingularity(f"|zeta({x!r})| exceeds the float range")
+    return value
 
 
 def is_separable_by_coeffs(

@@ -488,6 +488,29 @@ def test_curve_surface_blocks_equal_single_curves(capsys):
         assert single == expected, p
 
 
+def test_curve_writes_no_warning_text(tmp_path):
+    # pytest turns a RuntimeWarning into an error only in its own process: as
+    # a subprocess, curve writes its rows and no stderr past the float
+    # product's range, where u*lam is near overflow, on a fourfold pole, and
+    # where |zeta| passes the float range, about e^1106 at 64 + 2e-6 for
+    # the maximally mixed state of dim 64, whose rows are all flagged
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"dim": 2, "entries": [[1.0000000001, 0], [0, 0], [0, 0], [-1e-10, 0]]}))
+    flat = tmp_path / "flat.json"
+    save_matrix(flat, np.eye(64) / 64)
+    for argv in (
+        ["--state", "random", "--dim", "64", "--seed", "3", "--u-min=-1.7e308", "--u-max", "0"],
+        ["--file", str(over), "--u-max", "1.7976931348623157e308"],
+        ["--state", "maxmixed4", "--u-min", "3.999999", "--u-max", "4.000001"],
+        ["--file", str(flat), "--u-min", "64.000002", "--u-max", "64.00001"],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "rhozeta.cli", "curve", *argv, "--steps", "101"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+        assert len(proc.stdout.splitlines()) == 102
+    assert all(row.endswith(",,,1") for row in proc.stdout.splitlines()[1:])
+
+
 def test_random_dim_cap(capsys):
     # random states share the --file dim cap
     code, out, _ = run_cli(["coeffs", "--state", "random", "--dim", str(MAX_DIM), "--N", "1"], capsys)
@@ -747,3 +770,15 @@ def test_console_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "separable" in proc.stderr
     assert proc.stdout.startswith("n,c_n")
+
+
+def test_closed_stdout_exits_zero():
+    # a reader that stops after one line, as `rhozeta graph ... | head -1`
+    # does: the write that found the pipe closed exited 2 with
+    # "error: BrokenPipeError", which fails a pipeline under pipefail
+    argv = [sys.executable, "-m", "rhozeta.cli", "graph", "--state", "random", "--dim", "300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "digraph G {\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == ""

@@ -37,6 +37,7 @@ from rhozeta.zeta import (
     series_coeffs,
     singularities,
     zeta_eval,
+    zeta_values,
 )
 
 PLUS = validate_density(np.array([[1, 1], [1, 1]]) / 2)
@@ -445,6 +446,73 @@ def test_zeta_eval_on_the_real_axis_is_the_float_product():
             assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex()), (dim, u)
             checked += 1
     assert checked > 2000
+
+
+def test_zeta_eval_is_zeta_values_bit_for_bit():
+    # the scaled product gives zeta_eval's float at every point, in its float
+    # product's range and out of it, and zeta_eval raises AtSingularity
+    # exactly where zeta_values is not finite: at a pole or past the float
+    # range
+    big = sys.float_info.max
+    cases = []
+    for dim in range(1, 65):
+        rational = singularities(random_density(dim, 70 + dim))
+        poles = [u for u, _ in rational.singularities]
+        cases.append((rational, np.linspace(-2 * poles[0], 1.5 * poles[min(3, len(poles) - 1)], 41)))
+        cases.append((rational, np.linspace(-1e6, 1e6, 41)))
+    flat = singularities(validate_density(np.eye(64) / 64))
+    cases.append((flat, np.array([64 + 2e-6, 64 * (1 - 2 ** -16.1), *np.linspace(64 - 3e-6, 64 + 3e-6, 7)])))
+    cases.append((singularities(validate_density(np.diag([1.0000000001, -1e-10]))), np.array([big, -big])))
+    finite = refused = 0
+    for rational, grid in cases:
+        for u, value in zip(grid.tolist(), zeta_values(rational, grid).tolist()):
+            if math.isfinite(value):
+                assert zeta_eval(rational, u).real.hex() == value.hex(), (rational, u)
+                finite += 1
+            else:
+                with pytest.raises(AtSingularity):
+                    zeta_eval(rational, u)
+                refused += 1
+    assert finite > 5000 and refused >= 6
+
+
+def test_zeta_values_where_the_float_product_leaves_its_range_matches_closed_form():
+    # where the running float product leaves [2^-1000, 2^1000], the scaled
+    # product is within 1e-13 of the exact value, relative, or of the least
+    # normal float below it (a log-magnitude sum in its place reached 3.2e-13).
+    # Each random state is taken where |zeta| is 2^-1002, 2^-1011 and
+    # 2^-1020, at u < 0 and past its last pole, found by bisection in log2|u|
+    big = sys.float_info.max
+    cases = [
+        (singularities(validate_density(np.eye(64) / 64)), [64 * (1 - 2 ** -15.8), -64 * math.expm1(700 / 64)]),
+        (singularities(validate_density(np.diag([1.0000000001, -1e-10]))), [big, -big]),
+    ]
+    for dim in range(1, 65, 3):
+        rational = singularities(random_density(dim, 70 + dim))
+        grid = np.linspace(-1e6, 1e6, 41).tolist()
+        for sign, start in ((-1, -10.0), (1, math.log2(2 / rational.eigenvalues[0]))):
+            for target in (1002, 1011, 1020):
+                lo, hi = start, 1023.0
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    size = math.fsum(math.log2(abs(1 - sign * 2 ** mid * lam)) for lam in rational.eigenvalues)
+                    lo, hi = (mid, hi) if size < target else (lo, mid)
+                grid.append(sign * 2 ** lo)
+        cases.append((rational, grid))
+    normal = 0
+    for rational, grid in cases:
+        descending = rational.eigenvalues[::-1]
+        for u, value in zip(grid, zeta_values(rational, grid).tolist()):
+            if 2.0 ** -1000 <= abs(math.prod(1 - u * lam for lam in descending)) <= 2.0 ** 1000:
+                continue
+            try:
+                expected = exact_zeta(rational.eigenvalues, u)
+            except OverflowError:
+                assert value in (math.inf, -math.inf)
+                continue
+            assert abs(value - expected) <= 1e-13 * max(abs(expected), sys.float_info.min), (rational, u, value, expected)
+            normal += abs(expected) >= sys.float_info.min
+    assert normal > 100
 
 
 # -- separability verdicts --------------------------------------------------------------
