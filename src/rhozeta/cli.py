@@ -6,8 +6,9 @@ writes them in blocks as they are formatted, after the command has
 computed every value.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
-validation errors; a reader that closes stdout early is not an error
-(exit 0, as `rhozeta ... | head` expects).  All output files are
+validation errors.  A reader that closes stdout or stderr early is not
+an error and never changes the code (as `rhozeta ... | head` expects):
+the writes to that stream go nowhere.  All output files are
 byte-deterministic given the same invocation and seed.
 """
 
@@ -15,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from itertools import islice
 
 import numpy as np
@@ -70,15 +71,36 @@ def _load_state(args) -> DensityMatrix:
     return builtin_state(args.state, **given)
 
 
+@contextmanager
+def _standard_stream(stream):
+    """Yield stdout or stderr and flush it on leaving.  If its reader has
+    closed it, the write stops and the stream's fd is pointed at devnull,
+    so no later write or flush, the one at exit included, can raise."""
+    try:
+        yield stream
+        stream.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """Write one line to stderr."""
+    with _standard_stream(sys.stderr) as fh:
+        print(line, file=fh)
+
+
 def _write_output(path: str, lines) -> None:
     """Write the lines, each ending in a newline, to path ('-' for stdout), _SLICE lines at a time.
 
-    Every cmd_* computes every value, and raises every error, before it
-    calls this, and the lines only format those values: so a command that
-    exits 2 leaves stdout empty and creates no file.
+    Every cmd_* computes every value, its verdict included, and raises
+    every error, before it calls this, and the lines only format those
+    values: so a command that exits 2 leaves stdout empty and creates no
+    file, and a reader that closes stdout cannot change the exit code.
     """
     lines = iter(lines)
-    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _standard_stream(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
         while block := list(islice(lines, _SLICE)):
             fh.write("\n".join(block) + "\n")
 
@@ -125,7 +147,7 @@ def verdict_text(v: SeparabilityVerdict) -> str:
 def cmd_graph(args) -> int:
     g = graph_from_density(_load_state(args))
     _write_output(args.out, dot_lines(g))
-    print(f"vertices: {g.n_vertices} edges: {g.n_edges}", file=sys.stderr)
+    _note(f"vertices: {g.n_vertices} edges: {g.n_edges}")
     return 0
 
 
@@ -137,13 +159,14 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coefficient order must be at least 1")
     rho = _load_state(args)
     series = series_coeffs(trace_powers(rho, args.N), args.N)
-    _write_output(args.out, ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))])
+    verdict = None
     if args.N >= 2:
         verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
-        print(f"verdict: {verdict_text(verdict)}", file=sys.stderr)
-        if not verdict.separable:
-            return 1
-    return 0
+    _write_output(args.out, ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))])
+    if verdict is None:
+        return 0
+    _note(f"verdict: {verdict_text(verdict)}")
+    return 0 if verdict.separable else 1
 
 
 def cmd_curve(args) -> int:
@@ -185,7 +208,7 @@ def cmd_primes(args) -> int:
     check_length_cap(args.L)
     primes = enumerate_primes(graph_from_density(_load_state(args)), args.L)
     _write_output(args.out, primes_lines(primes))
-    print(f"classes: {len(primes)}", file=sys.stderr)
+    _note(f"classes: {len(primes)}")
     return 0
 
 
@@ -263,12 +286,8 @@ def main(argv=None) -> int:
     try:
         check_tol(args.validation_tol)
         return args.run(args)
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull, so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
     except (RhoZetaError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"error: {type(exc).__name__}: {exc}")
         return 2
 
 

@@ -2,8 +2,7 @@
 
 Matrices are plain numpy complex128 arrays; the only wrapper type is
 DensityMatrix, which is produced by validate_density and carries its
-eigenvalues (computed once, during validation, by numpy's eigvalsh) and,
-once trace_powers has been asked for them, its power sums.
+eigenvalues, computed once, during validation, by numpy's eigvalsh.
 
 Index convention, fixed package-wide: in a bipartite system the first
 subsystem (A) is the slow, most-significant index, as in np.kron(A, B), so
@@ -11,6 +10,7 @@ partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 """
 
 import json
+from functools import lru_cache
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -50,13 +50,10 @@ class DensityMatrix:
     Construct through validate_density; the constructor itself performs no
     checks.  The matrix, tolerance and spectrum are immutable (the arrays are
     read-only).  ``eigenvalues`` holds the real spectrum in ascending order,
-    as computed during validation.  The one mutable slot caches the power
-    sums: trace_powers fills it lazily and only ever stores values that
-    depend on the matrix alone, so two threads that race on it at worst
-    both compute the same values, and instances stay safe to share.
+    as computed during validation.
     """
 
-    __slots__ = ("matrix", "tol", "eigenvalues", "_power_sums")
+    __slots__ = ("matrix", "tol", "eigenvalues")
 
     def __init__(self, matrix: np.ndarray, tol: float, eigenvalues: np.ndarray):
         matrix = matrix.copy()
@@ -66,7 +63,6 @@ class DensityMatrix:
         self.matrix = matrix
         self.tol = tol
         self.eigenvalues = eigenvalues
-        self._power_sums = ()
 
     @property
     def dim(self) -> int:
@@ -99,7 +95,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     half_h = half.conj().T
     with np.errstate(over="ignore"):  # an overflowed defect or trace is inf and fails its bound
         herm_defect = 2.0 * float(np.abs(half - half_h).max())
-        trace_defect = abs(complex(np.trace(a)) - 1.0)
+        trace_defect = float(np.abs(np.trace(a) - 1.0))
     if not herm_defect <= tol:
         raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
     if not trace_defect <= tol:
@@ -111,6 +107,7 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(a, tol, eigenvalues)
 
 
+@lru_cache(maxsize=1)
 def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
     """Power sums p_m = tr[rho^m] for m = 1..m_max, by blocked matrix products.
 
@@ -122,30 +119,28 @@ def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
     transpose of (rho^b)^j.
     The stack holds min(b, m_max) powers and a giant step gives all b of its
     traces; each p_m is a trace of the same product chain, so it depends on
-    m alone, not on m_max.  The result is cached on rho: a shorter call gets
-    a prefix of a longer one, a longer call recomputes.  The eigenvalues are
-    never read, so this route stays independent of the rational one.
+    m alone, not on m_max.  The result is memoized on (rho, m_max), one
+    entry deep, as singularities is on rho (the memo keeps that state alive
+    until the next call with another key), so a verdict after a table on
+    the same state and order is a lookup.  The eigenvalues are never read,
+    so this route stays independent of the rational one.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    values = rho._power_sums
-    if len(values) < m_max:
-        a = rho.matrix
-        n = a.shape[0]
-        stack = np.empty((min(POWER_BLOCK, m_max), n, n), dtype=complex)
-        stack[0] = a
-        for i in range(1, len(stack)):
-            np.matmul(stack[i - 1], a, out=stack[i])
-        values = np.trace(stack, axis1=1, axis2=2).real.tolist()
-        if m_max > POWER_BLOCK:
-            rows = stack.reshape(POWER_BLOCK, n * n)
-            for giant in accumulate(repeat(stack[-1]), np.matmul):
-                values += (rows @ giant.T.ravel()).real.tolist()
-                if len(values) >= m_max:
-                    break
-        values = tuple(values)
-        rho._power_sums = values
-    return values[:m_max]
+    a = rho.matrix
+    n = a.shape[0]
+    stack = np.empty((min(POWER_BLOCK, m_max), n, n), dtype=complex)
+    stack[0] = a
+    for i in range(1, len(stack)):
+        np.matmul(stack[i - 1], a, out=stack[i])
+    values = np.trace(stack, axis1=1, axis2=2).real.tolist()
+    if m_max > POWER_BLOCK:
+        rows = stack.reshape(POWER_BLOCK, n * n)
+        for giant in accumulate(repeat(stack[-1]), np.matmul):
+            values += (rows @ giant.T.ravel()).real.tolist()
+            if len(values) >= m_max:
+                break
+    return tuple(values[:m_max])
 
 
 def partial_trace(rho: DensityMatrix, dims, keep: str) -> DensityMatrix:

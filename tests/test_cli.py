@@ -6,8 +6,10 @@ import inspect
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -134,11 +136,11 @@ _HUGE = st.floats(-1.7e308, 1.7e308)
 
 
 @st.composite
-def file_payloads(draw):
-    """Matrix JSON text for dims 1..4: a valid Wishart state, or one with
-    a wrong entry count, a mistyped or non-finite component, or finite
+def file_payloads(draw, max_dim=4):
+    """Matrix JSON text for dims 1..max_dim: a valid Wishart state, or one
+    with a wrong entry count, a mistyped or non-finite component, or finite
     entries up to the float maximum (placed in Hermitian pairs, or not)."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, max_dim))
     entries = _wishart_entries(dim, draw(st.integers(0, 2**32 - 1)))
     corruption = draw(st.sampled_from(["none", "length", "junk", "huge", "huge-hermitian"]))
     if corruption == "length":
@@ -226,6 +228,19 @@ def test_coeffs_sigma3_decreasing_tail(tmp_path, capsys):
     values = [float(v) for _, v in read_csv(out)[1:]]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[9] < 0.01
+
+
+@pytest.mark.parametrize("state", [["--state", name] for name in sorted(BUILTIN_STATES)]
+                         + [["--state", "random", "--dim", str(dim)] for dim in (1, 2, 5, 9, 17, 33, 64, 128)],
+                         ids=" ".join)
+def test_coeffs_table_is_a_prefix_of_the_longest(capsys, state):
+    # every invocation builds its state afresh and computes its power sums
+    # anew, so the rows agree because p_m depends on m alone, not on --N
+    _, longest, _ = run_cli(["coeffs", *state, "--N", str(cli._MAX_COEFF_ORDER)], capsys)
+    lines = longest.splitlines(keepends=True)
+    for n in (1, 2, 7, 8, 9, 16, 17, 63):
+        _, out, _ = run_cli(["coeffs", *state, "--N", str(n)], capsys)
+        assert out == "".join(lines[:n + 1]), n
 
 
 def test_coeffs_order_cap(capsys):
@@ -673,6 +688,109 @@ def test_refusals_come_before_any_state_is_built(monkeypatch, capsys, argv):
     assert out == "" and err.startswith("error:")
 
 
+def _values(in_range, low=None, high=None, floats=False):
+    """An option's value as text: three draws in four in range, the rest at
+    a bound or its neighbours, 0, a negative, 10**12, or for a float NaN or
+    +-inf."""
+    edges = [0, -1, -7, 10**12]
+    for bound in (low, high):
+        if bound is not None:
+            edges += [bound - 1, bound, bound + 1]
+    if floats:
+        edges += [math.nan, math.inf, -math.inf]
+    edge = st.sampled_from(edges)
+    return st.integers(0, 3).flatmap(lambda i: in_range if i else edge).map(str)
+
+
+_TOL = _values(st.floats(0, 1, exclude_min=True, exclude_max=True), 0, 1, floats=True)
+_COMMAND_OPTIONS = {
+    "graph": {},
+    "coeffs": {"--N": _values(st.integers(1, cli._MAX_COEFF_ORDER), 1, cli._MAX_COEFF_ORDER), "--tol": _TOL},
+    # in range, min < max and a grid stays short
+    "curve": {"--u-min": _values(st.floats(-10, 0), floats=True),
+              "--u-max": _values(st.floats(0, 10, exclude_min=True), floats=True),
+              "--steps": _values(st.integers(2, 200), 2, cli._MAX_CURVE_ROWS)},
+    "primes": {"--L": _values(st.integers(1, PRIME_LENGTH_CAP), 1, PRIME_LENGTH_CAP)},
+    "bose": {"--K": _values(st.integers(1, MAX_COPIES), 1, MAX_COPIES)},
+}
+_SURFACE_OPTIONS = {"--p-min": _values(st.floats(0, 0.5), 0, 1, floats=True),
+                    "--p-max": _values(st.floats(0.5, 1, exclude_min=True), 0, 1, floats=True),
+                    "--p-steps": _values(st.integers(2, 5), 2)}
+_SMALL_BUILTINS = sorted(name for name in BUILTIN_STATES if builtin_state(name).dim <= 2)
+
+
+@st.composite
+def cli_invocations(draw, payload_path, out_path):
+    """argv for any subcommand on a built-in, random, unknown or --file
+    state, each numeric option drawn by _values or left out.  A curve may
+    sweep a (u, p) surface, drawn with all three p grid options and most
+    often on the isotropic state.  A primes search longer than 3 runs on a
+    state of dim at most 2, so none nears MAX_SEARCH_STEPS
+    (test_primes_refuses_dense_search covers that edge)."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    surface = command == "curve" and draw(st.booleans())
+    argv = [command]
+    for option, values in _COMMAND_OPTIONS[command].items():
+        if (value := draw(st.none() | values)) is not None:
+            argv.append(f"{option}={value}")
+    if surface:
+        argv += [f"{option}={draw(values)}" for option, values in _SURFACE_OPTIONS.items()]
+    small = command == "primes" and any(
+        arg.startswith("--L=") and 3 < int(arg[4:]) <= PRIME_LENGTH_CAP for arg in argv)
+    kind = draw(st.sampled_from(["builtin", "random", "nosuch", "file"] + ["isotropic"] * 4 * surface))
+    if kind == "isotropic":
+        argv += ["--state", "isotropic"]
+    elif kind == "builtin":
+        argv += ["--state", draw(st.sampled_from(_SMALL_BUILTINS if small else sorted(BUILTIN_STATES)))]
+    elif kind == "random":
+        argv += ["--state", "random",
+                 f"--dim={draw(_values(st.integers(1, 2 if small else 32), 1))}"]
+    elif kind == "nosuch":
+        argv += ["--state", "nosuch"]
+    else:
+        payload_path.write_text(draw(file_payloads(max_dim=2 if small else 4)))
+        argv += ["--file", str(payload_path)]
+    for option, values in (("--p", _values(st.floats(0, 1), 0, 1, floats=True)),
+                           ("--seed", _values(st.integers(0, 2**32 - 1), 0)),
+                           ("--validation-tol", _TOL)):
+        if option == "--p" and surface:
+            continue  # a p grid refuses --p; test_refusals_come_before_any_state_is_built checks that
+        if (value := draw(st.none() | values)) is not None:
+            argv.append(f"{option}={value}")
+    if draw(st.booleans()):
+        argv += ["--out", str(out_path)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("out") / "out.txt"
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_every_invocation_keeps_the_exit_contract(payload_path, out_path, data):
+    """An invocation exits 0 or 1 with its output written, or exits 2 with
+    stdout empty, no --out file and the error line first on stderr; none
+    writes a traceback or warning text."""
+    argv = data.draw(cli_invocations(payload_path, out_path))
+    out_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 2:
+        assert out == "" and not out_path.exists(), argv
+        assert re.match(r"error: \w+: ", err), (argv, err)
+    else:
+        assert code in (0, 1), argv
+        assert (out_path.read_text() if "--out" in argv else out) != "", argv
+
+
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -781,4 +899,24 @@ def test_closed_stdout_exits_zero():
         assert proc.stdout.readline() == "digraph G {\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == ""
+        assert "error:" not in proc.stderr.read()
+
+
+@pytest.mark.parametrize("argv,code,merged", [
+    # an input error whose error line finds stderr closed exited 1, the entangled code
+    (["coeffs", "--state", "random", "--dim", "513"], 2, True),
+    (["coeffs", "--state", "plus", "--tol", "nan"], 2, True),
+    # an entangled table that found stdout closed exited 0, before its verdict was computed
+    (["coeffs", "--state", "bell-reduced", "--N", "64"], 1, True),
+    (["coeffs", "--state", "bell-reduced", "--N", "64"], 1, False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+def test_closed_pipe_does_not_change_the_exit_code(argv, code, merged):
+    # the reader closes stdout, and with it stderr when the two share the
+    # pipe, before the command writes anything
+    stderr = subprocess.STDOUT if merged else subprocess.PIPE
+    with subprocess.Popen([sys.executable, "-m", "rhozeta.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=stderr, text=True) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
+        if not merged:
+            assert proc.stderr.read().startswith("verdict: entangled by coefficients: n=2")

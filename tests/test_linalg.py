@@ -91,6 +91,13 @@ def test_validate_error_reports_magnitude():
         validate_density(np.eye(2))
 
 
+def test_validate_survives_a_trace_modulus_past_the_float_range():
+    # |tr - 1| of this finite trace overflows: it is inf, not an
+    # OverflowError, which the CLI does not catch
+    with pytest.raises(NotHermitian, match="defect inf"):
+        validate_density(np.array([[1.7e308 + 1.7e308j]]))
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, 1.0, 1e300])
 def test_validate_rejects_bad_tolerance(tol):
     # a NaN tolerance compares false both ways and would pass every check; a
@@ -133,7 +140,7 @@ def _bits(values):
 
 
 def _fresh(rho):
-    """A copy of rho with nothing cached."""
+    """A copy of rho that no memo holds."""
     return DensityMatrix(rho.matrix, rho.tol, rho.eigenvalues)
 
 

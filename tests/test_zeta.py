@@ -121,10 +121,11 @@ def test_series_matches_generator_form_bit_for_bit():
 def test_verdicts_reuse_the_memos_of_their_routes(name):
     rho = builtin_state(name)
     series = series_coeffs(trace_powers(rho, 64), 64)
-    before = _newton_coeffs.cache_info()
+    before = _newton_coeffs.cache_info(), trace_powers.cache_info()
     verdict = is_separable_by_coeffs(rho, 64)
-    after = _newton_coeffs.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    after = _newton_coeffs.cache_info(), trace_powers.cache_info()
+    for b, a in zip(before, after):
+        assert (a.hits, a.misses) == (b.hits + 1, b.misses)
     if verdict.separable:
         assert all(abs(c - 1.0) <= 1e-6 for c in series.coeffs)
     else:
