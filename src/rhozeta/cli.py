@@ -1,9 +1,12 @@
 """Command-line interface: graphs, coefficient tables, zeta curves, primes, and symmetry tests.
 
 Every text format the command prints lives here (graph and zeta return
-data only), and _write_output is the one writer of a command's lines: it
-writes them in blocks as they are formatted, after the command has
-computed every value.
+data only).  Each cmd_* is a computation: it checks its arguments, raises
+every error and computes every value, its verdict included, and returns
+(lines, note, code) without writing anything.  main alone writes, through
+_write: the lines to stdout or --out, then the note, if any, as one
+stderr line, so a command that exits 2 leaves stdout empty and creates
+no file.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
 validation errors.  A reader that closes stdout or stderr early is not
@@ -85,24 +88,16 @@ def _standard_stream(stream):
         os.close(devnull)
 
 
-def _note(line: str) -> None:
-    """Write one line to stderr."""
-    with _standard_stream(sys.stderr) as fh:
-        print(line, file=fh)
-
-
-def _write_output(path: str, lines) -> None:
-    """Write the lines, each ending in a newline, to path ('-' for stdout), _SLICE lines at a time.
-
-    Every cmd_* computes every value, its verdict included, and raises
-    every error, before it calls this, and the lines only format those
-    values: so a command that exits 2 leaves stdout empty and creates no
-    file, and a reader that closes stdout cannot change the exit code.
-    """
+def _write(path: str, lines, note) -> None:
+    """Write the lines, each ending in a newline, to path ('-' for stdout),
+    _SLICE lines at a time, then the note, if not None, to stderr."""
     lines = iter(lines)
     with _standard_stream(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
         while block := list(islice(lines, _SLICE)):
             fh.write("\n".join(block) + "\n")
+    if note is not None:
+        with _standard_stream(sys.stderr) as fh:
+            print(note, file=fh)
 
 
 def dot_lines(g: WeightedDigraph):
@@ -144,14 +139,12 @@ def verdict_text(v: SeparabilityVerdict) -> str:
     return f"entangled by {v.method}: u={v.value!r}{note}"
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     g = graph_from_density(_load_state(args))
-    _write_output(args.out, dot_lines(g))
-    _note(f"vertices: {g.n_vertices} edges: {g.n_edges}")
-    return 0
+    return dot_lines(g), f"vertices: {g.n_vertices} edges: {g.n_edges}", 0
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args):
     check_tol(args.tol)
     if args.N > _MAX_COEFF_ORDER:
         raise CapExceeded(f"coefficient order {args.N} exceeds cap {_MAX_COEFF_ORDER}")
@@ -159,17 +152,14 @@ def cmd_coeffs(args) -> int:
         raise ValueError("coefficient order must be at least 1")
     rho = _load_state(args)
     series = series_coeffs(trace_powers(rho, args.N), args.N)
-    verdict = None
-    if args.N >= 2:
-        verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
-    _write_output(args.out, ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))])
-    if verdict is None:
-        return 0
-    _note(f"verdict: {verdict_text(verdict)}")
-    return 0 if verdict.separable else 1
+    lines = ["n,c_n", *(f"{n},{series[n]!r}" for n in range(1, args.N + 1))]
+    if args.N < 2:
+        return lines, None, 0
+    verdict = is_separable_by_coeffs(rho, args.N, args.tol, pure_bipartite=args.pure_bipartite)
+    return lines, f"verdict: {verdict_text(verdict)}", 0 if verdict.separable else 1
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args):
     if args.steps < 2 or not args.u_min < args.u_max or not math.isfinite(args.u_max - args.u_min):
         raise ValueError("u grid needs finite min < max, a finite span and at least 2 steps")
     if args.p_steps is not None:
@@ -200,19 +190,16 @@ def cmd_curve(args) -> int:
     for p_column, rho in curves:
         for u, value in zip(grid, zeta_values(singularities(rho), grid).tolist()):
             lines.append(f"{u!r}{p_column},{value!r},0.0,0" if math.isfinite(value) else f"{u!r}{p_column},,,1")
-    _write_output(args.out, lines)
-    return 0
+    return lines, None, 0
 
 
-def cmd_primes(args) -> int:
+def cmd_primes(args):
     check_length_cap(args.L)
     primes = enumerate_primes(graph_from_density(_load_state(args)), args.L)
-    _write_output(args.out, primes_lines(primes))
-    _note(f"classes: {len(primes)}")
-    return 0
+    return primes_lines(primes), f"classes: {len(primes)}", 0
 
 
-def cmd_bose(args) -> int:
+def cmd_bose(args):
     check_copy_caps(1, args.K)  # then the state's dim alone can fail the caps
     rho = _load_state(args)
     check_copy_caps(rho.dim, args.K)
@@ -221,8 +208,7 @@ def cmd_bose(args) -> int:
     for k in range(1, args.K + 1):
         accept = acceptance_probability(rho, k)
         lines.append(f"{k},{accept!r},{series[k]!r},{abs(accept - series[k])!r}")
-    _write_output(args.out, lines)
-    return 0
+    return lines, None, 0
 
 
 def _add_command(sub, name: str, run, help: str) -> argparse.ArgumentParser:
@@ -278,16 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse argv and run its subcommand.  The shared --validation-tol is
-    checked here; each cmd_* checks its own arguments, before it builds a
-    state unless the bound depends on the state (bose's table cap at the
-    state's dim, the rows the prime search builds)."""
+    """Parse argv, run its subcommand and write what it returns.  The
+    shared --validation-tol is checked here; each cmd_* checks its own
+    arguments, before it builds a state unless the bound depends on the
+    state (bose's table cap at the state's dim, the rows the prime search
+    builds)."""
     args = build_parser().parse_args(argv)
     try:
         check_tol(args.validation_tol)
-        return args.run(args)
+        lines, note, code = args.run(args)
+        _write(args.out, lines, note)
+        return code
     except (RhoZetaError, ValueError, OSError) as exc:
-        _note(f"error: {type(exc).__name__}: {exc}")
+        _write("-", (), f"error: {type(exc).__name__}: {exc}")
         return 2
 
 

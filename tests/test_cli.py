@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refimpl import save_matrix
-from rhozeta import cli, graph, linalg
+from rhozeta import cli, errors, graph, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.graph import PRIME_LENGTH_CAP
 from rhozeta.linalg import MAX_DIM
@@ -686,6 +686,45 @@ def test_refusals_come_before_any_state_is_built(monkeypatch, capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+class _NoWrites(io.StringIO):
+    def write(self, text):
+        raise AssertionError(f"a command wrote {text!r}")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["graph", "--state", "w-reduced"], (0, "vertices: 4 edges: 5")),
+    (["graph", "--state", "nonesuch"], errors.InvalidParameter),
+    (["coeffs", "--state", "plus", "--pure-bipartite"], (0, "verdict: separable")),
+    (["coeffs", "--state", "bell-reduced"], (1, "verdict: entangled")),
+    (["coeffs", "--state", "sigma", "--N", "1"], (0, None)),  # a table without a verdict
+    (["coeffs", "--state", "plus", "--N", "65"], errors.CapExceeded),
+    (["curve", "--state", "maxmixed2", "--u-min", "0", "--u-max", "4", "--steps", "9"], (0, None)),
+    (["curve", "--state", "plus", "--steps", "1"], ValueError),
+    (["primes", "--state", "ghz-reduced", "--L", "4"], (0, "classes: ")),
+    (["primes", "--state", "plus", "--L", "15"], errors.CapExceeded),
+    (["bose", "--state", "bell-reduced", "--K", "4"], (0, None)),
+    (["bose", "--state", "plus", "--K", "13"], errors.CapExceeded),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_commands_return_what_main_writes(monkeypatch, capsys, argv, expected):
+    # a command returns (lines, note, code) or raises, and writes nothing;
+    # main writes the lines to stdout, then the note as one stderr line
+    args = cli.build_parser().parse_args(argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _NoWrites())
+        patch.setattr(sys, "stderr", _NoWrites())
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                args.run(args)
+            return
+        lines, note, code = args.run(args)
+        lines = list(lines)
+    expected_code, note_start = expected
+    assert code == expected_code
+    assert note is None if note_start is None else note.startswith(note_start)
+    err = "" if note is None else note + "\n"
+    assert run_cli(argv, capsys) == (code, "".join(line + "\n" for line in lines), err)
 
 
 def _values(in_range, low=None, high=None, floats=False):
