@@ -7,19 +7,18 @@ WeightedDigraph stores it, and every reader takes edges from that matrix.
 The primes of such a graph are equivalence classes, under cyclic rotation,
 of primitive closed walks; walks may revisit vertices and edges, and the
 directed edges (i, j) and (j, i) are independent (no backtracking
-constraint).  Each class is represented by the lexicographically least
-rotation of its edge sequence, edges ordered by (origin, terminus); its
-vertex sequence is a Lyndon word, and enumerate_primes generates each such
-word once, by a breadth-first prenecklace search over numpy arrays, one
-step per length: each level's words are rows of a fixed-width buffer,
-gathered whole with np.take, and two lookup tables over edge keys, built
-once per call, find every word's successors and closing edge.  The search
-counts the rows it builds and refuses, before laying it out, a level that
-would take that count above MAX_SEARCH_STEPS.  It returns PrimeClasses:
-per-length arrays of words and edge norms, iterated as PrimeClass items.
-The search and the Euler expansion both multiply norms with
-complex_product, which rounds as Python's complex multiply does, bit for
-bit, so they give the same floats as a loop over Python numbers.
+constraint).  With at most one edge per ordered pair, a class is fixed by
+its vertex word, and its least rotation is a Lyndon word; enumerate_primes
+generates each such word once, by a breadth-first prenecklace search over
+numpy arrays, one step per length: each level's words are rows of a
+fixed-width buffer, gathered whole with np.take, and two lookup tables over
+edge keys, built once per call, find every word's successors and closing
+edge.  The search counts the rows it builds and refuses, before laying it
+out, a level that would take that count above MAX_SEARCH_STEPS.  It returns
+PrimeClasses: per-length arrays of words and edge norms, iterated as
+PrimeClass items.  The search and the Euler expansion both multiply norms
+with complex_product, which rounds as Python's complex multiply does, bit
+for bit, so they give the same floats as a loop over Python numbers.
 """
 
 from dataclasses import dataclass
@@ -62,14 +61,13 @@ class WeightedDigraph:
 
 @dataclass(frozen=True)
 class PrimeClass:
-    """Canonical representative of a rotation class of primitive closed walks.
+    """A rotation class of primitive closed walks.
 
-    rep is the lexicographically least rotation of the edge sequence, stored
-    as (origin, terminus) pairs; nu is its length and edge_norm the product
-    of the traversed edge weights.
+    word is its Lyndon vertex word (1-based), nu its length and edge_norm
+    the product of the traversed edge weights, the closing edge included.
     """
 
-    rep: tuple
+    word: tuple
     nu: int
     edge_norm: complex
 
@@ -145,7 +143,7 @@ def complex_product(a, b) -> np.ndarray:
 
 
 class PrimeClasses:
-    """Prime classes of lengths 1..len(words), sorted by (nu, rep).
+    """Prime classes of lengths 1..len(words), sorted by (nu, word).
 
     words[nu - 1] is a (count, nu) array whose rows are the Lyndon vertex
     words of the classes of length nu, ascending, and norms[nu - 1] holds
@@ -163,8 +161,7 @@ class PrimeClasses:
     def __iter__(self):
         for words, norms in zip(self.words, self.norms):
             for word, norm in zip(words.tolist(), norms.tolist()):
-                rep = tuple(zip(word, word[1:] + word[:1]))
-                yield PrimeClass(rep=rep, nu=len(word), edge_norm=norm)
+                yield PrimeClass(word=tuple(word), nu=len(word), edge_norm=norm)
 
 
 #: Width of a word row: the first power of two >= PRIME_LENGTH_CAP, so
@@ -183,16 +180,14 @@ def check_length_cap(length_cap: int) -> None:
 def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     """Enumerate prime classes of closed walks up to the given length.
 
-    A prime class is a Lyndon word over the vertex alphabet whose
-    consecutive letters, and last and first letters, are joined by edges;
-    comparing vertex words orders their edge sequences the same way, so the
-    word is the class's canonical rotation.  Ruskey's prenecklace scheme
-    builds each word once: a prenecklace of length t with period p grows
-    along an edge to any successor >= its letter t - p, and it is a Lyndon
-    word exactly when p == t.  Cost is exponential in the cap, so the
-    search keeps a running count of the rows it builds, n for level 1 and
-    then each level's exact size, and raises CapExceeded before it lays out
-    a level that takes the count above MAX_SEARCH_STEPS.
+    A prime class is a Lyndon word over the vertex alphabet whose consecutive
+    letters, and last and first letters, are joined by edges.  Ruskey's
+    prenecklace scheme builds each word once: a prenecklace of length t with
+    period p grows along an edge to any successor >= its letter t - p, and it
+    is a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
+    the search keeps a running count of the rows it builds, n for level 1 and
+    then each level's exact size, and raises CapExceeded before it lays out a
+    level that takes the count above MAX_SEARCH_STEPS.
 
     The search is breadth first.  Level t holds every prenecklace of length
     t as the first t letters of a row of a (count, _ROW) word buffer, with

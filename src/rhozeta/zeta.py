@@ -117,7 +117,7 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
 
     Each class multiplies the series by 1/(1 - norm * u^nu), applied in
     place as the ascending recurrence c[a] += norm * c[a - nu] for
-    a = nu..order, class by class in (nu, rep) order; classes longer than
+    a = nu..order, class by class in (nu, word) order; classes longer than
     the order leave it unchanged.  Lengths with 2*nu <= order run that loop
     on Python complex numbers.  For 2*nu > order every index read,
     a - nu, lies below nu, where no class of that length writes, so each
@@ -208,7 +208,10 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
     """
     if isinstance(u, (complex, np.complexfloating)):
         raise ValueError(f"u={u} is not real")
-    x = float(u)
+    try:
+        x = float(u)
+    except OverflowError:  # an int or Fraction past the float range
+        raise ValueError("u is not finite as a float") from None
     if not isfinite(x):
         raise ValueError(f"u={x} is not finite")
     z = 1.0

@@ -276,7 +276,7 @@ def enumerate_primes_recursive(g, length_cap: int, visits=None) -> list:
 
     One call of gen(t, p, norm) per prenecklace, depth first, one
     PrimeClass per class, each norm a product of Python complex numbers
-    from 1 + 0j.  Returns the classes sorted by (nu, rep).  If visits is a
+    from 1 + 0j.  Returns the classes sorted by (nu, word).  If visits is a
     list, each call appends its prenecklace's (length, period).  No caps
     are checked; callers keep the graph small.
     """
@@ -284,29 +284,27 @@ def enumerate_primes_recursive(g, length_cap: int, visits=None) -> list:
     for i, row in enumerate(g.weights.tolist(), start=1):
         for j, weight in enumerate(row, start=1):
             if weight != 0:
-                out_edges[i][j] = ((i, j), weight)
+                out_edges[i][j] = weight
     by_length = [[] for _ in range(length_cap + 1)]
-    word, walk = [], []
+    word = []
 
     def gen(t, p, norm):
-        # word holds t vertices with period p; walk holds its t - 1 edges,
-        # whose weights multiply to norm
+        # word holds t vertices with period p; the weights of its t - 1
+        # edges multiply to norm
         if visits is not None:
             visits.append((t, p))
         if p == t and word[0] in out_edges[word[-1]]:
-            edge, weight = out_edges[word[-1]][word[0]]
-            by_length[t].append(PrimeClass(rep=(*walk, edge), nu=t, edge_norm=norm * weight))
+            weight = out_edges[word[-1]][word[0]]
+            by_length[t].append(PrimeClass(word=tuple(word), nu=t, edge_norm=norm * weight))
         if t == length_cap:
             return
         floor = word[t - p]
-        for nxt, (edge, weight) in out_edges[word[-1]].items():
+        for nxt, weight in out_edges[word[-1]].items():
             if nxt < floor:
                 continue
             word.append(nxt)
-            walk.append(edge)
             gen(t + 1, p if nxt == floor else t + 1, norm * weight)
             word.pop()
-            walk.pop()
 
     for start in range(1, g.n_vertices + 1):
         word.append(start)
@@ -334,8 +332,8 @@ def primes_csv_rows(primes) -> str:
     """CSV table of prime classes, one row formatted from each PrimeClass."""
     lines = ["nu,rep,norm_re,norm_im"]
     for p in primes:
-        verts = [str(p.rep[0][0])] + [str(edge[1]) for edge in p.rep]
-        lines.append(f"{p.nu},{'->'.join(verts)},{p.edge_norm.real!r},{p.edge_norm.imag!r}")
+        path = "->".join(map(str, p.word + p.word[:1]))
+        lines.append(f"{p.nu},{path},{p.edge_norm.real!r},{p.edge_norm.imag!r}")
     return "\n".join(lines) + "\n"
 
 

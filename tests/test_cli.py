@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_corpus
 from refimpl import save_matrix
 from rhozeta import cli, errors, graph, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
@@ -828,6 +829,18 @@ def test_every_invocation_keeps_the_exit_contract(payload_path, out_path, data):
     else:
         assert code in (0, 1), argv
         assert (out_path.read_text() if "--out" in argv else out) != "", argv
+
+
+def test_every_corpus_refusal_names_its_error(tmp_path, capsys):
+    """Each refusal of the CLI corpus exits 2 with stdout empty, creates no
+    file, and writes one stderr line, `error: <Type>: ...`, naming its type."""
+    cli_corpus.write_inputs(tmp_path)
+    files = sorted(tmp_path.iterdir())
+    for error, argv in cli_corpus.refusals(tmp_path):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert sorted(tmp_path.iterdir()) == files, argv
+        assert re.fullmatch(rf"error: {error}: [^\n]+\n", err), (argv, err)
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_laplacian_weights_refuse_bad_vertices(n_vertices, weights, message):
 
 def test_maximally_mixed_primes():
     primes = enumerate_primes(graph_from_density(MAXMIXED2), 2)
-    assert [(p.nu, p.rep) for p in primes] == [(1, ((1, 1),)), (1, ((2, 2),))]
+    assert [(p.nu, p.word) for p in primes] == [(1, (1,)), (1, (2,))]
 
 
 def test_plus_state_primes():
@@ -170,7 +170,7 @@ def test_plus_state_primes():
     assert len(loops) == 2 and len(two) == 1
     for p in loops:
         assert abs(p.edge_norm - 0.5) < 1e-12
-    assert two[0].rep == ((1, 2), (2, 1))
+    assert two[0].word == (1, 2)
     assert abs(two[0].edge_norm - 0.25) < 1e-12
 
 
@@ -213,19 +213,34 @@ def test_length_one_norms_sum_to_trace():
 
 
 def test_classes_are_canonical_and_unique():
-    """Brute-force rotation-set check on a random dense graph."""
-    rho = random_density(3, 17)
-    primes = enumerate_primes(graph_from_density(rho), 5)
-    seen = set()
-    for p in primes:
-        rotations = {p.rep[k:] + p.rep[:k] for k in range(p.nu)}
-        assert min(rotations) == p.rep
-        assert not (rotations & seen)
-        seen |= rotations
-    # chained edges, closed
-    for p in primes:
-        for (a, b), (c, _) in zip(p.rep, p.rep[1:] + p.rep[:1]):
-            assert b == c
+    """Brute-force rotation-set check on a random dense graph and a sparse
+    one: each word is primitive and the least of its rotations, no two
+    classes share a rotation, and the word closes along edges of the graph
+    whose weights, multiplied from 1 + 0j, give its norm bit for bit."""
+    for g in (graph_from_density(random_density(3, 17)), random_sparse_digraph(5)):
+        weights = g.weights.tolist()
+        seen = set()
+        for p in enumerate_primes(g, 5):
+            rotations = {p.word[k:] + p.word[:k] for k in range(p.nu)}
+            assert len(rotations) == p.nu and min(rotations) == p.word
+            assert not (rotations & seen)
+            seen |= rotations
+            norm = 1 + 0j
+            for a, b in zip(p.word, p.word[1:] + p.word[:1]):
+                assert weights[a - 1][b - 1] != 0
+                norm *= weights[a - 1][b - 1]
+            assert norm == p.edge_norm, p
+
+
+def test_iteration_yields_each_row_of_the_arrays():
+    # a PrimeClass is its row of words with that row's norm, in array order
+    for g in (graph_from_density(random_density(4, 3)), random_sparse_digraph(2)):
+        primes = enumerate_primes(g, 5)
+        rows = [(tuple(word), len(word), norm.real.hex(), norm.imag.hex())
+                for words, norms in zip(primes.words, primes.norms)
+                for word, norm in zip(words.tolist(), norms.tolist())]
+        assert len(rows) == len(primes) > 0
+        assert [(p.word, p.nu, p.edge_norm.real.hex(), p.edge_norm.imag.hex()) for p in primes] == rows
 
 
 def random_sparse_digraph(seed):
@@ -347,7 +362,7 @@ def reference_length(g):
 
 
 def hex_classes(primes):
-    return [(p.nu, p.rep, p.edge_norm.real.hex(), p.edge_norm.imag.hex()) for p in primes]
+    return [(p.nu, p.word, p.edge_norm.real.hex(), p.edge_norm.imag.hex()) for p in primes]
 
 
 @pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
