@@ -10,6 +10,8 @@ partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 """
 
 import json
+import os
+import stat
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -208,10 +210,14 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix JSON file of at most MAX_FILE_BYTES bytes."""
+    """Read a matrix JSON file of at most MAX_FILE_BYTES bytes.  A regular
+    file over the cap is refused by its size, unread; a pipe or other
+    stream by reading one byte past the cap."""
     with open(path, "rb") as fh:
-        data = fh.read(MAX_FILE_BYTES + 1)
-    if len(data) > MAX_FILE_BYTES:
+        info = os.fstat(fh.fileno())
+        too_big = stat.S_ISREG(info.st_mode) and info.st_size > MAX_FILE_BYTES
+        data = b"" if too_big else fh.read(MAX_FILE_BYTES + 1)
+    if too_big or len(data) > MAX_FILE_BYTES:
         raise CapExceeded(f"matrix file exceeds cap of {MAX_FILE_BYTES} bytes")
     try:
         obj = json.loads(data.decode("utf-8"))

@@ -8,9 +8,13 @@ of several dims, matrix files, --out, the largest inputs each cap
 accepts, and every refusal the CLI can print: each malformed, invalid,
 oversized or missing matrix file, each argument out of range, each cap,
 an unknown state and a missing output directory.  refusals(directory)
-lists the refusals, each with the error type it must name.
-tests/compare_trees.py runs the corpus, and test_cli.py checks that each
-refusal exits 2 naming its type.
+is the table of refusals: each entry carries the error type it must
+name, a piece of the message it must print, and whether it must be
+refused before any state is built.  The corpus holds 191 invocations,
+59 of them refusals, 27 of those state-free.  tests/compare_trees.py
+runs the corpus, and test_cli.py's
+test_every_corpus_refusal_names_its_error checks each refusal against
+its entry.
 
 No function here imports rhozeta, so the corpus does not depend on the
 tree under test.  It leaves out the refusal of `primes --dim 8 --L 14`,
@@ -56,8 +60,11 @@ def write_inputs(directory) -> None:
     _write_matrix(directory / "herm.json", w / np.trace(w).real)
     # far from a state: unit trace only to within 1e200
     _write_matrix(directory / "far.json", np.diag([1e200, -1e200]))
+    _write_matrix(directory / "near.json", np.diag([0.5 + 1e-6, 0.5]))  # unit trace only to within 1e-6
     _write_matrix(directory / "nonhermitian.json", [[0.5, 0.1], [0, 0.5]])
+    _write_matrix(directory / "nilpotent.json", [[0, 1], [0, 0]])
     _write_matrix(directory / "indefinite.json", np.diag([1.5, -0.5]))
+    _write_matrix(directory / "huge.json", [[0.5, 1e308], [1e308, 0.5]])
     payloads = {
         "malformed": '{"dim": 2, "entries": [[0.5, 0], [0, 0]',
         "nan": '{"dim": 1, "entries": [[NaN, 0]]}',
@@ -66,8 +73,14 @@ def write_inputs(directory) -> None:
         "noentries": '{"dim": 1}',
         "dimtrue": '{"dim": true, "entries": [[1, 0]]}',
         "dim513": '{"dim": 513, "entries": []}',
+        "dim100000": '{"dim": 100000, "entries": []}',
         "count": '{"dim": 2, "entries": [[0.5, 0], [0.5, 0]]}',
+        "short": '{"dim": 2, "entries": [[1, 0]]}',
         "string": '{"dim": 1, "entries": [["1", 0]]}',
+        "null": '{"dim": 1, "entries": [[null, 0]]}',
+        "list": '{"dim": 1, "entries": [[1, [0]]]}',
+        "object": '{"dim": 1, "entries": [[{}, 0]]}',
+        "bool": '{"dim": 1, "entries": [[true, 0]]}',
     }
     for name, text in payloads.items():
         (directory / f"{name}.json").write_text(text, encoding="utf-8")
@@ -78,7 +91,9 @@ def write_inputs(directory) -> None:
 
 
 def refusals(directory) -> list:
-    """(error type, argv) of every corpus invocation that must exit 2 naming that type."""
+    """(error type, message piece, state_free, argv) of every corpus invocation
+    that must exit 2 with the one stderr line `error: <type>: ...<piece>...`.
+    A state-free one must be refused before any state is built or read."""
     directory = Path(directory)
     out = ["--out", str(directory / "out.txt")]
 
@@ -86,51 +101,85 @@ def refusals(directory) -> list:
         return ["--file", str(directory / f"{name}.json")]
 
     p_grid = ["--p-min", "0", "--p-max", "1", "--p-steps", "3"]
-    return [
+    tol = "tol must be finite and positive, below 1"
+    u_grid = "u grid needs finite min < max"
+    need_p_steps = "--p-min and --p-max need --p-steps"
+    isotropic_only = "p grid sweeps apply only to the isotropic state"
+    not_a_pair = "entry 0 is not a [re, im] pair of numbers"
+    # refused as the state is read, validated or built, or as --out is opened
+    late = [
         # matrix files
-        ("JSONDecodeError", ["graph", *file("malformed")]),
-        ("NotUnitTrace", ["coeffs", *file("far"), "--N", "4", "--validation-tol", "0.5"]),
-        ("NotHermitian", ["coeffs", *file("nonhermitian")]),
-        ("NotPSD", ["primes", *file("indefinite")]),
-        ("ValueError", ["curve", *file("nan")]),
-        ("ValueError", ["bose", *file("bigint")]),
-        ("ValueError", ["graph", *file("deep")]),
-        ("ValueError", ["graph", *file("noentries")]),
-        ("ValueError", ["graph", *file("dimtrue")]),
-        ("CapExceeded", ["graph", *file("dim513")]),
-        ("DimensionMismatch", ["graph", *file("count")]),
-        ("ValueError", ["graph", *file("string")]),
-        ("CapExceeded", ["graph", *file("oversize"), *out]),
-        ("UnicodeDecodeError", ["graph", *file("latin1")]),
-        ("FileNotFoundError", ["graph", *file("absent")]),
-        # arguments out of range
-        ("ValueError", ["coeffs", "--state", "plus", "--N", "0"]),
-        ("ValueError", ["primes", "--state", "plus", "--L", "0"]),
-        ("ValueError", ["bose", "--state", "plus", "--K", "0"]),
-        ("ValueError", ["graph", "--state", "random", "--dim", "0"]),
-        ("InvalidParameter", ["coeffs", "--state", "isotropic", "--p", "2"]),
-        ("ValueError", ["coeffs", "--state", "bell-reduced", "--tol", "1"]),
-        ("InvalidParameter", ["coeffs", "--state", "nonesuch"]),
-        ("ValueError", ["curve", "--state", "plus", "--steps", "1"]),
-        ("ValueError", ["curve", "--state", "plus", "--u-min", "1", "--u-max", "0"]),
-        ("ValueError", ["curve", "--state", "plus", "--u-max", "inf"]),
-        ("ValueError", ["curve", "--state", "plus", *p_grid]),
-        ("ValueError", ["curve", "--state", "isotropic", "--p-min", "0"]),
-        ("ValueError", ["curve", "--state", "isotropic", "--p-steps", "3"]),
-        ("ValueError", ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1", "--p-steps", "1"]),
-        ("ValueError", ["curve", "--state", "isotropic", "--p", "0.5", *p_grid]),
-        ("InvalidParameter", ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1.5", "--p-steps", "3"]),
-        # caps
-        ("CapExceeded", ["coeffs", "--state", "plus", "--N", "65"]),
-        ("CapExceeded", ["primes", "--state", "plus", "--L", "15"]),
-        ("CapExceeded", ["bose", "--state", "plus", "--K", "13"]),
-        ("CapExceeded", ["bose", "--state", "random", "--dim", "128", "--K", "3"]),  # the table cap at the state's dim
-        ("CapExceeded", ["curve", "--state", "plus", "--steps", "100001"]),
-        ("CapExceeded", ["coeffs", "--state", "random", "--dim", "513"]),
-        ("CapExceeded", ["coeffs", "--state", "random", "--dim", "513", *out]),
+        ("JSONDecodeError", "Expecting ',' delimiter", ["graph", *file("malformed")]),
+        ("NotUnitTrace", "|tr - 1| = 1.000e+00", ["coeffs", *file("far"), "--N", "4", "--validation-tol", "0.5"]),
+        ("NotUnitTrace", "|tr - 1| = 1.000e-06", ["graph", *file("near")]),
+        ("NotHermitian", "Hermiticity defect 1.000e-01", ["coeffs", *file("nonhermitian")]),
+        ("NotHermitian", "Hermiticity defect 1.000e+00", ["graph", *file("nilpotent")]),
+        ("NotPSD", "minimum eigenvalue -5.000e-01", ["primes", *file("indefinite")]),
+        # the Hermitian part of a file with entries near the float maximum
+        ("NotPSD", "minimum eigenvalue -1.000e+308", ["curve", *file("huge"), "--u-max", "0.5", "--steps", "3"]),
+        ("NotPSD", "minimum eigenvalue -1.000e+308", ["coeffs", *file("huge"), "--N", "4"]),
+        ("ValueError", "matrix entries must be finite", ["curve", *file("nan")]),
+        ("ValueError", "an entry exceeds the float range", ["bose", *file("bigint")]),
+        ("ValueError", "nested too deeply", ["graph", *file("deep")]),
+        ("ValueError", "must be an object with 'dim' and 'entries'", ["graph", *file("noentries")]),
+        ("ValueError", "'dim' must be a positive integer", ["graph", *file("dimtrue")]),
+        ("CapExceeded", "matrix dim 513 exceeds cap 512", ["graph", *file("dim513")]),
+        ("CapExceeded", "matrix dim 100000 exceeds cap 512", ["coeffs", *file("dim100000"), "--N", "64"]),
+        ("DimensionMismatch", "must hold 4 pairs for dim 2, got 2", ["graph", *file("count")]),
+        ("DimensionMismatch", "must hold 4 pairs for dim 2, got 1", ["graph", *file("short")]),
+        *(("ValueError", not_a_pair, ["graph", *file(name)]) for name in ("string", "null", "list", "object", "bool")),
+        ("CapExceeded", f"exceeds cap of {32 * 2**20} bytes", ["graph", *file("oversize"), *out]),
+        ("UnicodeDecodeError", "can't decode byte 0xe9", ["graph", *file("latin1")]),
+        ("FileNotFoundError", "No such file or directory", ["graph", *file("absent")]),
+        # states
+        ("ValueError", "dim must be at least 1", ["graph", "--state", "random", "--dim", "0"]),
+        ("InvalidParameter", "isotropic parameter must lie in [0, 1], got 2.0", ["coeffs", "--state", "isotropic", "--p", "2"]),
+        ("InvalidParameter", "unknown state 'nonesuch'", ["coeffs", "--state", "nonesuch"]),
+        ("CapExceeded", "random state dim 513 exceeds cap 512", ["coeffs", "--state", "random", "--dim", "513"]),
+        ("CapExceeded", "random state dim 513 exceeds cap 512", ["coeffs", "--state", "random", "--dim", "513", *out]),
+        # the table cap at the state's dim
+        ("CapExceeded", "for d=128, k=3 exceeds cap", ["bose", "--state", "random", "--dim", "128", "--K", "3"]),
         # output
-        ("FileNotFoundError", ["graph", "--state", "plus", "--out", str(directory / "missing" / "out.txt")]),
+        ("FileNotFoundError", "No such file or directory",
+         ["graph", "--state", "plus", "--out", str(directory / "missing" / "out.txt")]),
     ]
+    # refused by the arguments alone
+    state_free = [
+        ("ValueError", "coefficient order must be at least 1", ["coeffs", "--state", "plus", "--N", "0"]),
+        ("ValueError", "length cap must be at least 1", ["primes", "--state", "plus", "--L", "0"]),
+        ("ValueError", "need d >= 1 and k >= 1", ["bose", "--state", "plus", "--K", "0"]),
+        ("ValueError", tol, ["coeffs", "--state", "bell-reduced", "--tol", "1"]),
+        ("ValueError", tol, ["coeffs", "--state", "bell-reduced", "--tol", "nan"]),
+        ("ValueError", tol, ["coeffs", "--state", "plus", "--tol", "inf"]),
+        ("ValueError", tol, ["coeffs", *file("nonhermitian"), "--validation-tol", "nan"]),
+        ("ValueError", u_grid, ["curve", "--state", "plus", "--steps", "1"]),
+        ("ValueError", u_grid, ["curve", "--state", "plus", "--u-min", "1", "--u-max", "0"]),
+        ("ValueError", u_grid, ["curve", "--state", "plus", "--u-max", "inf"]),
+        ("ValueError", u_grid, ["curve", "--state", "plus", "--u-min=-1e308", "--u-max=1e308", "--steps", "3"]),
+        ("ValueError", isotropic_only, ["curve", "--state", "plus", *p_grid]),
+        ("ValueError", isotropic_only, ["curve", *file("herm"), *p_grid]),
+        ("ValueError", need_p_steps, ["curve", "--state", "isotropic", "--p-min", "0"]),
+        ("ValueError", need_p_steps, ["curve", "--state", "random", "--steps", "3", "--p-min", "0", "--p-max", "1"]),
+        ("ValueError", need_p_steps, ["curve", "--state", "random", "--steps", "3", "--p-max", "1"]),
+        ("ValueError", "p grid needs --p-min and --p-max", ["curve", "--state", "isotropic", "--p-steps", "3"]),
+        ("ValueError", "p grid needs finite min < max and at least 2 steps",
+         ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1", "--p-steps", "1"]),
+        ("ValueError", "p grid needs finite min < max and at least 2 steps",
+         ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "inf", "--p-steps", "3"]),
+        ("ValueError", "--p cannot be given with a p grid", ["curve", "--state", "isotropic", "--p", "0.5", *p_grid]),
+        ("InvalidParameter", "isotropic parameter must lie in [0, 1], got 1.5",
+         ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1.5", "--p-steps", "3"]),
+        # caps
+        ("CapExceeded", "coefficient order 65 exceeds cap 64", ["coeffs", "--state", "plus", "--N", "65"]),
+        ("CapExceeded", "length cap 15 exceeds hard cap 14", ["primes", "--state", "plus", "--L", "15"]),
+        ("CapExceeded", "length cap 15 exceeds hard cap 14", ["primes", "--state", "random", "--dim", "512", "--L", "15"]),
+        ("CapExceeded", "k=13 exceeds cap 12", ["bose", "--state", "plus", "--K", "13"]),
+        ("CapExceeded", "curve of 100001 rows exceeds cap 100000", ["curve", "--state", "plus", "--steps", "100001"]),
+        ("CapExceeded", "curve of 100002 rows exceeds cap 100000",
+         ["curve", "--state", "isotropic", "--steps", "50001", "--p-min", "0", "--p-max", "1", "--p-steps", "2"]),
+    ]
+    return ([(error, piece, False, argv) for error, piece, argv in late]
+            + [(error, piece, True, argv) for error, piece, argv in state_free])
 
 
 def invocations(directory) -> list:
@@ -161,4 +210,4 @@ def invocations(directory) -> list:
         ["curve", "--state", "random", "--dim", "512", "--seed", "1", "--u-min", "0", "--u-max", "200",
          "--steps", "100000"],
     ]
-    return runs + [argv for _, argv in refusals(directory)]
+    return runs + [argv for *_, argv in refusals(directory)]

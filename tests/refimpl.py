@@ -9,7 +9,8 @@ pin the bits of trace_powers and series_coeffs, exact rationals give
 the zeta values and power sums of float eigenvalues, the recursive
 prime generator and the per-start-vertex step count check the array prime
 search and its step bound, seeded Haar unitaries drive the
-basis-invariance checks, and the matrix JSON encoder writes the files the
+basis-invariance checks, seeded magnitude-symmetric weights drive the
+Laplacian checks, and the matrix JSON encoder writes the files the
 CLI reads.  The gather and the dense operators cost d^k and k!, more than the
 package's oracle, so they keep their own caps, DENSE_MAX_COPIES and
 DENSE_MAX_DIM on d^k.
@@ -23,7 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from rhozeta.errors import CapExceeded
-from rhozeta.graph import PrimeClass
+from rhozeta.graph import LaplacianWeights, PrimeClass
 from rhozeta.linalg import as_square_matrix
 from rhozeta.quantum import check_copy_caps
 
@@ -213,6 +214,24 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def random_laplacian_weights(seed):
+    """Random magnitude-symmetric weights with independent phases."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    weights = {}
+    for i in range(1, n + 1):
+        if rng.random() < 0.3:
+            weights[(i, i)] = complex(rng.uniform(0.1, 2.0))
+        for j in range(i + 1, n + 1):
+            if rng.random() < 0.6:
+                mag = rng.uniform(0.05, 3.0)
+                weights[(i, j)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                weights[(j, i)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if not any(i != j for (i, j) in weights):
+        weights[(1, 2)] = weights[(2, 1)] = 1.0
+    return LaplacianWeights(n, weights)
 
 
 def trace_powers_sequential(rho, m_max: int) -> tuple:

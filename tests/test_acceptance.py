@@ -9,10 +9,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from refimpl import cycle_index, random_unitary
+import cli_corpus
+from refimpl import cycle_index, random_laplacian_weights, random_unitary
 from rhozeta.cli import builtin_state
 from rhozeta.graph import (
-    LaplacianWeights,
     density_from_weighted_graph,
     enumerate_primes,
     graph_from_density,
@@ -21,11 +21,6 @@ from rhozeta.linalg import random_density, trace_powers, validate_density
 from rhozeta.errors import CapExceeded
 from rhozeta.quantum import MAX_COPIES, acceptance_probability, check_copy_caps
 from rhozeta.zeta import euler_product_coeffs, series_coeffs, singularities
-
-BUILTIN_NAMES = (
-    "plus", "bell", "bell-reduced", "maxmixed2", "maxmixed4",
-    "w", "w-reduced", "ghz", "ghz-reduced", "isotropic", "sigma", "sigma3",
-)
 
 
 def report(number, name, failures):
@@ -141,7 +136,8 @@ def _copy_counts(dim):
 
 def test_criterion_07_projector_oracle():
     failures = []
-    states = [(name, builtin_state(name)) for name in BUILTIN_NAMES]
+    # the built-ins but random, sampled here by seed
+    states = [(name, builtin_state(name)) for name in cli_corpus.BUILTINS if name != "random"]
     states += [(f"random-{seed}", random_density(2 + seed % 2, 2000 + seed)) for seed in range(20)]
     for name, rho in states:
         ks = list(_copy_counts(rho.dim))
@@ -168,27 +164,10 @@ def test_criterion_08_basis_invariance():
     report(8, "coefficients invariant under 20 random changes of basis (tol 1e-8)", failures)
 
 
-def _random_laplacian_weights(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    weights = {}
-    for i in range(1, n + 1):
-        if rng.random() < 0.3:
-            weights[(i, i)] = complex(rng.uniform(0.1, 2.0))
-        for j in range(i + 1, n + 1):
-            if rng.random() < 0.6:
-                mag = rng.uniform(0.05, 3.0)
-                weights[(i, j)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                weights[(j, i)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    if not any(i != j for (i, j) in weights):
-        weights[(1, 2)] = weights[(2, 1)] = 1.0
-    return LaplacianWeights(n, weights)
-
-
 def test_criterion_09_laplacian_positivity():
     failures = []
     for seed in range(200):
-        rho = density_from_weighted_graph(_random_laplacian_weights(5000 + seed))
+        rho = density_from_weighted_graph(random_laplacian_weights(5000 + seed))
         smallest = float(rho.eigenvalues[0])
         if smallest < -1e-10:
             failures.append((seed, smallest))

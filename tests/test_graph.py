@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows
+from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows, random_laplacian_weights
 from rhozeta import cli, graph, zeta
 from rhozeta.cli import dot_lines, primes_lines
 from rhozeta.errors import AllLoops, CapExceeded, DimensionMismatch
@@ -108,24 +108,6 @@ def test_loops_only_graph_rejected():
     lw = LaplacianWeights(2, {(1, 1): 1.0, (2, 2): 2.0})
     with pytest.raises(AllLoops):
         density_from_weighted_graph(lw)
-
-
-def random_laplacian_weights(seed):
-    """Random magnitude-symmetric weights with independent phases."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 7))
-    weights = {}
-    for i in range(1, n + 1):
-        if rng.random() < 0.3:
-            weights[(i, i)] = complex(rng.uniform(0.1, 2.0))
-        for j in range(i + 1, n + 1):
-            if rng.random() < 0.6:
-                mag = rng.uniform(0.05, 3.0)
-                weights[(i, j)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                weights[(j, i)] = mag * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    if not any(i != j for (i, j) in weights):
-        weights[(1, 2)] = weights[(2, 1)] = 1.0
-    return LaplacianWeights(n, weights)
 
 
 def test_laplacian_density_is_psd():

@@ -1,6 +1,7 @@
 """Tests for the dense linear algebra layer."""
 
 import math
+import os
 import re
 import tracemalloc
 
@@ -391,11 +392,36 @@ def test_out_of_range_arguments_are_refused(call, message):
 
 
 def test_load_matrix_refuses_file_above_byte_cap(tmp_path, monkeypatch):
+    # a regular file is refused by its size, a pipe by the bytes read from it
     path = tmp_path / "rho.json"
     save_matrix(path, random_density(4, 2).matrix)
-    size = path.stat().st_size
-    monkeypatch.setattr(linalg, "MAX_FILE_BYTES", size)
-    assert load_matrix(path).shape == (4, 4)
-    monkeypatch.setattr(linalg, "MAX_FILE_BYTES", size - 1)
-    with pytest.raises(CapExceeded, match=str(size - 1)):
-        load_matrix(path)
+    text = path.read_bytes()
+    for cap in (len(text), len(text) - 1):
+        monkeypatch.setattr(linalg, "MAX_FILE_BYTES", cap)
+        read, write = os.pipe()
+        try:
+            os.write(write, text)  # far below the pipe's buffer
+            os.close(write)
+            for source in (path, f"/dev/fd/{read}"):
+                if cap == len(text):
+                    assert load_matrix(source).shape == (4, 4), source
+                else:
+                    with pytest.raises(CapExceeded, match=f"exceeds cap of {cap} bytes"):
+                        load_matrix(source)
+        finally:
+            os.close(read)
+
+
+def test_load_matrix_refuses_an_oversized_file_unread(tmp_path):
+    # reading the sparse file one byte over the cap took a 32 MiB traced peak
+    path = tmp_path / "oversize.json"
+    with open(path, "wb") as fh:
+        fh.truncate(linalg.MAX_FILE_BYTES + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=f"exceeds cap of {linalg.MAX_FILE_BYTES} bytes"):
+            load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
