@@ -12,9 +12,10 @@ is the table of refusals: each entry carries the error type it must
 name, a piece of the message it must print, and whether it must be
 refused before any state is built.  The corpus holds 191 invocations,
 59 of them refusals, 27 of those state-free.  tests/compare_trees.py
-runs the corpus, and test_cli.py's
-test_every_corpus_refusal_names_its_error checks each refusal against
-its entry.
+runs the corpus; test_cli.py's test_every_corpus_refusal_names_its_error
+checks each refusal against its entry, and
+test_refusals_come_before_any_state_is_built runs each state-free one
+with every state builder replaced by one that raises.
 
 No function here imports rhozeta, so the corpus does not depend on the
 tree under test.  It leaves out the refusal of `primes --dim 8 --L 14`,
@@ -100,7 +101,7 @@ def refusals(directory) -> list:
     def file(name):
         return ["--file", str(directory / f"{name}.json")]
 
-    p_grid = ["--p-min", "0", "--p-max", "1", "--p-steps", "3"]
+    p_grid = ["--p-min", "0", "--p-max", "1", "--p-steps", "2"]
     tol = "tol must be finite and positive, below 1"
     u_grid = "u grid needs finite min < max"
     need_p_steps = "--p-min and --p-max need --p-steps"
@@ -166,7 +167,8 @@ def refusals(directory) -> list:
          ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1", "--p-steps", "1"]),
         ("ValueError", "p grid needs finite min < max and at least 2 steps",
          ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "inf", "--p-steps", "3"]),
-        ("ValueError", "--p cannot be given with a p grid", ["curve", "--state", "isotropic", "--p", "0.5", *p_grid]),
+        ("ValueError", "--p cannot be given with a p grid",
+         ["curve", "--state", "isotropic", "--p", "0.3", "--p-min", "0", "--p-max", "1", "--p-steps", "3"]),
         ("InvalidParameter", "isotropic parameter must lie in [0, 1], got 1.5",
          ["curve", "--state", "isotropic", "--p-min", "0", "--p-max", "1.5", "--p-steps", "3"]),
         # caps

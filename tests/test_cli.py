@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import cli_corpus
 from refimpl import save_matrix
-from rhozeta import cli, graph, linalg
+from rhozeta import cli, errors, graph, linalg
 from rhozeta.cli import BUILTIN_STATES, builtin_state, main
 from rhozeta.graph import PRIME_LENGTH_CAP
 from rhozeta.linalg import MAX_DIM
@@ -510,20 +511,29 @@ class _NoWrites(io.StringIO):
 
 @pytest.mark.parametrize("argv,expected", [
     (["graph", "--state", "w-reduced"], (0, "vertices: 4 edges: 5")),
+    (["graph", "--state", "nonesuch"], errors.InvalidParameter),
     (["coeffs", "--state", "plus", "--pure-bipartite"], (0, "verdict: separable")),
     (["coeffs", "--state", "bell-reduced"], (1, "verdict: entangled")),
     (["coeffs", "--state", "sigma", "--N", "1"], (0, None)),  # a table without a verdict
+    (["coeffs", "--state", "plus", "--N", "65"], errors.CapExceeded),
     (["curve", "--state", "maxmixed2", "--u-min", "0", "--u-max", "4", "--steps", "9"], (0, None)),
+    (["curve", "--state", "plus", "--steps", "1"], ValueError),
     (["primes", "--state", "ghz-reduced", "--L", "4"], (0, "classes: ")),
+    (["primes", "--state", "plus", "--L", "15"], errors.CapExceeded),
     (["bose", "--state", "bell-reduced", "--K", "4"], (0, None)),
+    (["bose", "--state", "plus", "--K", "13"], errors.CapExceeded),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_commands_return_what_main_writes(monkeypatch, capsys, argv, expected):
-    # a command returns (lines, note, code) and writes nothing; main writes
-    # the lines to stdout, then the note as one stderr line
+    # a command returns (lines, note, code) or raises, and writes nothing;
+    # main writes the lines to stdout, then the note as one stderr line
     args = cli.build_parser().parse_args(argv)
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", _NoWrites())
         patch.setattr(sys, "stderr", _NoWrites())
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                args.run(args)
+            return
         lines, note, code = args.run(args)
         lines = list(lines)
     expected_code, note_start = expected
@@ -636,11 +646,10 @@ def test_every_invocation_keeps_the_exit_contract(payload_path, out_path, data):
         assert (out_path.read_text() if "--out" in argv else out) != "", argv
 
 
-def test_every_corpus_refusal_names_its_error(tmp_path, capsys, monkeypatch):
+def test_every_corpus_refusal_names_its_error(tmp_path, capsys):
     """Each refusal of the CLI corpus exits 2 with stdout empty, creates no
     file, and writes one stderr line, `error: <Type>: ...<piece>...`, naming
-    its type and holding its message piece.  A state-free refusal writes the
-    same with every state builder replaced by one that raises."""
+    its type and holding its message piece."""
     cli_corpus.write_inputs(tmp_path)
     files = sorted(tmp_path.iterdir())
     table = cli_corpus.refusals(tmp_path)
@@ -650,22 +659,28 @@ def test_every_corpus_refusal_names_its_error(tmp_path, capsys, monkeypatch):
                                               "CapExceeded", "InvalidParameter"}
     assert {error for error, _, state_free, _ in table if state_free} >= {"CapExceeded", "InvalidParameter",
                                                                           "ValueError"}
-    results = []
     for error, piece, _, argv in table:
-        code, out, err = result = run_cli(argv, capsys)
-        results.append(result)
+        code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "", argv
         assert sorted(tmp_path.iterdir()) == files, argv
         assert re.fullmatch(rf"error: {error}: [^\n]*{re.escape(piece)}[^\n]*\n", err), (argv, err)
 
+
+# the table's --file paths are relative here: a state-free refusal reads no file
+@pytest.mark.parametrize("error,piece,argv", [
+    pytest.param(error, piece, argv, id=" ".join(argv))
+    for error, piece, state_free, argv in cli_corpus.refusals(Path()) if state_free])
+def test_refusals_come_before_any_state_is_built(monkeypatch, capsys, error, piece, argv):
+    """Each state-free refusal of the corpus table is made the same way with
+    every state builder replaced by one that raises."""
     def refuse(*args, **kwargs):
         raise AssertionError("a state was built before the arguments were checked")
 
     for name in ("builtin_state", "load_matrix", "isotropic_state"):
         monkeypatch.setattr(cli, name, refuse)
-    for (*_, state_free, argv), result in zip(table, results):
-        if state_free:
-            assert run_cli(argv, capsys) == result, argv
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"error: {error}: [^\n]*{re.escape(piece)}[^\n]*\n", err), err
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):
