@@ -13,7 +13,7 @@ import json
 import os
 import stat
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def as_square_matrix(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -50,17 +50,18 @@ class DensityMatrix:
     """A validated density matrix: Hermitian, unit-trace, positive semi-definite.
 
     Construct through validate_density; the constructor itself performs no
-    checks.  The matrix, tolerance and spectrum are immutable (the arrays are
-    read-only).  ``eigenvalues`` holds the real spectrum in ascending order,
-    as computed during validation.
+    checks and copies nothing.  It takes the matrix and spectrum arrays it
+    is given and marks them read-only, so the caller hands over arrays no
+    one else writes to: validate_density passes its own copy of the input
+    and the spectrum eigvalsh returned.  The matrix, tolerance and spectrum
+    are then immutable.  ``eigenvalues`` holds the real spectrum in
+    ascending order, as computed during validation.
     """
 
     __slots__ = ("matrix", "tol", "eigenvalues")
 
     def __init__(self, matrix: np.ndarray, tol: float, eigenvalues: np.ndarray):
-        matrix = matrix.copy()
         matrix.flags.writeable = False
-        eigenvalues = eigenvalues.copy()
         eigenvalues.flags.writeable = False
         self.matrix = matrix
         self.tol = tol
@@ -91,18 +92,19 @@ def validate_density(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     keeps the sums finite for entries near the float maximum, and is exact
     for normal floats.
     """
-    a = as_square_matrix(matrix)
+    a = as_square_matrix(np.array(matrix, dtype=complex, order="C"))
     check_tol(tol)
     half = a / 2.0
     half_h = half.conj().T
     with np.errstate(over="ignore"):  # an overflowed defect or trace is inf and fails its bound
-        herm_defect = 2.0 * float(np.abs(half - half_h).max())
-        trace_defect = float(np.abs(np.trace(a) - 1.0))
+        herm_defect = 2.0 * float(abs(half - half_h).max())
+        trace_defect = float(abs(a.trace() - 1.0))
     if not herm_defect <= tol:
         raise NotHermitian(f"Hermiticity defect {herm_defect:.3e} exceeds tol {tol:.1e}")
     if not trace_defect <= tol:
         raise NotUnitTrace(f"|tr - 1| = {trace_defect:.3e} exceeds tol {tol:.1e}")
-    eigenvalues = np.linalg.eigvalsh(half + half_h)
+    half += half_h
+    eigenvalues = np.linalg.eigvalsh(half)
     lowest = eigenvalues.min()
     if not lowest >= -tol:
         raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{tol:.1e}")
@@ -182,6 +184,10 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 #
 # {"dim": n, "entries": [[re, im], ...]} with n*n row-major entries.
 
+_PAIR_TYPES = frozenset((list, tuple))
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Decode the matrix JSON format, rejecting malformed payloads.  Each entry
     is a list or tuple of two numbers of exact type int or float, as json.loads
@@ -198,10 +204,13 @@ def matrix_from_json(obj) -> np.ndarray:
         raise DimensionMismatch(
             f"'entries' must hold {n * n} pairs for dim {n}, got {len(entries) if isinstance(entries, list) else 'non-list'}"
         )
-    for idx, pair in enumerate(entries):
-        if not (type(pair) in (list, tuple) and len(pair) == 2
-                and type(pair[0]) in (int, float) and type(pair[1]) in (int, float)):
-            raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
+    # one pass over the types and lengths; the indexed loop only names the first bad entry
+    if not (set(map(type, entries)) <= _PAIR_TYPES and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES):
+        for idx, pair in enumerate(entries):
+            if not (type(pair) in _PAIR_TYPES and len(pair) == 2
+                    and type(pair[0]) in _NUMBER_TYPES and type(pair[1]) in _NUMBER_TYPES):
+                raise ValueError(f"entry {idx} is not a [re, im] pair of numbers")
     try:
         out = np.array(entries, dtype=float).view(complex)
     except OverflowError:

@@ -11,29 +11,36 @@ alpha! (Aaronson & Arkhipov, Theory of Computing 9, 2013, section 3).
 The permanents come from a subset recurrence run one layer of subsets per
 size, on chunks of multisets at a time, so Python issues a few numpy calls
 per layer and chunk rather than one per subset, and memory stays bounded.
+Each (d, k) shape's multiset arrays are built once and kept while they fit
+a byte budget, so a call on a shape seen before pays only its arithmetic.
 Neither the d^k x d^k projector nor the Kronecker power is ever formed.
 It is deliberately independent of the series machinery in zeta.py so the
 two can cross-check each other.
 """
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .linalg import DensityMatrix, partial_trace, random_density, validate_density
+from .linalg import MAX_DIM, DensityMatrix, partial_trace, random_density, validate_density
 
 #: Caps of the acceptance oracle.  Its recurrence spends k 2^(k-1) complex multiply-adds
 #: on each of the C(d+k-1, k) multisets, k/2 per entry of a C(d+k-1, k) 2^k table, so the
 #: table cap bounds work, not memory: the multisets go through in chunks, and a run holds
-#: one complex value per multiset beside the (d, k) multiset table, k small indices and
-#: one float per multiset (at most 1.5 MiB, at (512, 2)).  At most MAX_COPIES tables are
-#: kept, enough for every k of one `bose --K` run.  A call that builds its table peaks
-#: under 5 MiB traced at every cap edge, (512, 2) to (3, 12).
+#: one complex value per multiset beside the shape's multiset arrays (k small indices, k
+#: row offsets and alpha! per multiset, at most 1.63 MiB, at (512, 2)).  A call that
+#: builds its arrays peaks under 5 MiB traced at every cap edge, (512, 2) to (3, 12).
 MAX_COPIES = 12
 MAX_PERMANENT_TABLE = 2**20
+
+#: Bytes of multiset arrays kept between oracle calls: MAX_COPIES shapes as wide as the
+#: widest a state within linalg.MAX_DIM reaches, (MAX_DIM, 2), whose multisets take 2 x 2
+#: bytes of index, 2 x 4 of row offset and 1 of alpha! each (19.5 MiB in all).  Every shape
+#: the caps admit fits, and a small one takes a few hundred bytes, so it is never dropped
+#: for a count.
+_SHAPE_CACHE_BYTES = MAX_COPIES * comb(MAX_DIM + 1, 2) * 13
 
 #: Table entries per chunk of the oracle: it takes m = _CHUNK_ENTRIES >> k multisets at
 #: a time (at least one, since this is at least 2^MAX_COPIES), so a chunk's temporaries
@@ -150,26 +157,72 @@ def _layer_plan(k: int) -> tuple:
     return tuple(plan)
 
 
-@lru_cache(maxsize=MAX_COPIES)
-def _multisets(d: int, k: int) -> tuple:
-    """The C(d+k-1, k) multisets of k indices below d, and each one's alpha!, both read-only.
+def _build_shape(d: int, k: int) -> tuple:
+    """The C(d+k-1, k) multisets of k indices below d as read-only arrays: table, row offsets, alpha!.
 
     The table is k x C in the narrowest unsigned dtype that holds d - 1:
     column j is the j-th sorted tuple of combinations_with_replacement, so
-    row a holds every multiset's a-th smallest index.  alpha! is float64.
+    row a holds every multiset's a-th smallest index.  In that order the
+    multisets that start with index a are a followed by the (k-1)-multisets
+    that start at a or above, a tail of the (d, k-1) table, so the table
+    grows one row per step from the (d, 1) one.  The offsets are table * d,
+    the start of each index's row in rho flattened, in the narrowest
+    unsigned dtype that holds d^2 - 1, so an offset plus an index never
+    overflows.  alpha! is held exactly in the narrowest unsigned dtype
+    that holds k!.
     """
-    count = comb(d + k - 1, k)
-    table = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d), k)),
-                        dtype=np.min_scalar_type(d - 1), count=count * k)
-    table = np.ascontiguousarray(table.reshape(count, k).T)
-    weights = np.ones(count)
-    run = np.ones(count)
+    index = np.arange(d, dtype=np.min_scalar_type(d - 1))
+    table = index[None, :]
+    for _ in range(1, k):
+        starts = np.searchsorted(table[0], index)
+        tails = np.concatenate([table[:, s:] for s in starts.tolist()], axis=1)
+        table = np.vstack((np.repeat(index, table.shape[1] - starts), tails))
+    offsets = table.astype(np.min_scalar_type(d * d - 1))
+    offsets *= d
+    weights = np.ones(table.shape[1], dtype=np.min_scalar_type(factorial(k)))
+    run = np.ones(table.shape[1], dtype=np.uint8)
     for a in range(1, k):
-        run = np.where(table[a] == table[a - 1], run + 1.0, 1.0)
+        run = np.where(table[a] == table[a - 1], run + 1, 1)
         weights *= run
-    table.flags.writeable = False
-    weights.flags.writeable = False
-    return table, weights
+    for array in (table, offsets, weights):
+        array.flags.writeable = False
+    return table, offsets, weights
+
+
+class _ShapeCache:
+    """The oracle's multiset arrays by (d, k), kept while their bytes fit a budget.
+
+    A call returns _build_shape(d, k), built on the first call for its shape.
+    Once the bytes kept would pass the budget, the least recently used
+    shapes are dropped first, so many small shapes never push each other
+    out.  hits, misses and nbytes count what the cache did and holds.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._entries = {}  # (d, k) -> arrays, least recently used first
+        self.hits = self.misses = self.nbytes = 0
+
+    def __call__(self, d: int, k: int) -> tuple:
+        entry = self._entries.pop((d, k), None)
+        if entry is None:
+            self.misses += 1
+            entry = _build_shape(d, k)
+            size = sum(array.nbytes for array in entry)
+            while self._entries and self.nbytes + size > self.budget:
+                dropped = self._entries.pop(next(iter(self._entries)))
+                self.nbytes -= sum(array.nbytes for array in dropped)
+            self.nbytes += size
+        else:
+            self.hits += 1
+        self._entries[d, k] = entry
+        return entry
+
+
+_multisets = _ShapeCache(_SHAPE_CACHE_BYTES)
 
 
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:
@@ -194,26 +247,30 @@ def acceptance_probability(rho: DensityMatrix, k: int) -> float:
     so the adds keep that order and the floats match a loop over subsets.
     The last layer, one subset, adds its k member rows with an accumulate:
     when m = 1 its sum would be over k lone entries, which numpy adds
-    pairwise, in another order, once k >= 8.  The cost is
+    pairwise, in another order, once k >= 8.  A chunk's k^2 entries
+    rho[alpha_a, alpha_b] are one gather from rho flattened, at the row
+    offset of alpha_a plus the index alpha_b.  The cost is
     O(C(d+k-1, k) k 2^k) time; memory is one complex value per multiset,
-    the (d, k) multiset table of _multisets, built on the first call for
-    its shape and kept, and a chunk's temporaries.
+    the (d, k) multiset arrays of _multisets, built on the first call for
+    their shape and kept within the cache's byte budget, and a chunk's
+    temporaries.
     """
     check_copy_caps(rho.dim, k)
     plan = _layer_plan(k)
-    table, weights = _multisets(rho.dim, k)
+    table, offsets, weights = _multisets(rho.dim, k)
+    flat = rho.matrix.ravel()
     chunk = _CHUNK_ENTRIES >> k
     values = np.empty(len(weights), dtype=complex)
     for start in range(0, len(values), chunk):
-        idx = table[:, start:start + chunk]
-        weight = weights[start:start + chunk]
+        stop = start + chunk
+        weight = weights[start:stop]
         m = len(weight)
-        entry = rho.matrix[idx[:, None, :], idx[None, :, :]].reshape(k * k, m)
+        entry = flat.take(offsets[:, None, start:stop] + table[None, :, start:stop]).reshape(k * k, m)
         perm = np.ones((1, m), dtype=complex)
         for s, (source, column) in enumerate(plan, start=1):
-            terms = np.take(perm, source, axis=0)
-            terms *= np.take(entry, column, axis=0)
+            terms = perm.take(source, axis=0)
+            terms *= entry.take(column, axis=0)
             terms = terms.reshape(s, -1, m)
             perm = terms.sum(axis=0) if s < k else np.add.accumulate(terms, axis=0)[-1]
-        np.divide(perm[0], weight, out=values[start:start + m])
+        np.divide(perm[0], weight, out=values[start:stop])
     return float(values.sum().real)

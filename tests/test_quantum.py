@@ -303,28 +303,56 @@ def test_acceptance_matches_subset_loop_bit_for_bit():
 
 
 def test_multiset_table_is_built_once_per_shape():
-    quantum._multisets.cache_clear()
+    cache = quantum._multisets
+    cache.cache_clear()
     for seed in (1, 2):
         acceptance_probability(random_density(4, seed), 3)
-    info = quantum._multisets.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (cache.misses, cache.hits) == (1, 1)
     acceptance_probability(random_density(5, 1), 3)
-    info = quantum._multisets.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
+    assert (cache.misses, cache.hits) == (2, 1)
     for d, k in ((4, 3), (5, 3)):
-        table, weights = quantum._multisets(d, k)
+        table, offsets, weights = cache(d, k)
         multisets = list(combinations_with_replacement(range(d), k))
         assert [tuple(column) for column in table.T.tolist()] == multisets
+        assert offsets.tolist() == (table.astype(int) * d).tolist()
         assert weights.tolist() == [math.prod(map(math.factorial, Counter(a).values())) for a in multisets]
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
-        with pytest.raises(ValueError):
-            weights[0] = 1.0
+        for array in (table, offsets, weights):
+            with pytest.raises(ValueError):
+                array[0] = 1
+    assert cache.nbytes == sum(array.nbytes for shape in ((4, 3), (5, 3)) for array in cache(*shape))
+
+
+def test_multiset_cache_is_bounded_by_bytes_not_count():
+    # 18 small shapes, each met again after every cap edge k = 2..12: a bound
+    # of 12 shapes would drop and rebuild them, the byte budget keeps them all
+    cache = quantum._multisets
+    cache.cache_clear()
+    small = [(d, k) for d in range(2, 5) for k in range(1, 7)]
+    edges = [(_max_dim(k), k) for k in range(2, MAX_COPIES + 1)]
+    for edge in edges:
+        for shape in small:
+            cache(*shape)
+        cache(*edge)
+        assert cache.nbytes <= quantum._SHAPE_CACHE_BYTES, edge
+    assert (cache.misses, cache.hits) == (len(small) + len(edges), len(small) * (len(edges) - 1))
+    # thirteen shapes about as wide as (512, 2) pass the budget by one: the
+    # least recently used goes, and the bytes kept stay within the budget
+    cache.cache_clear()
+    wide = [(d, 2) for d in range(MAX_DIM, MAX_DIM - 13, -1)]
+    for shape in wide:
+        cache(*shape)
+        assert cache.nbytes <= quantum._SHAPE_CACHE_BYTES, shape
+    for shape in wide[1:]:
+        cache(*shape)
+    assert cache.misses == len(wide)
+    cache(*wide[0])
+    assert cache.misses == len(wide) + 1
+    cache.cache_clear()
 
 
 def test_acceptance_memory_is_bounded_at_cap_edges():
     # one complex value per multiset (2 MiB at (91, 3) and (512, 2)), plus the
-    # shape's multiset table (1.4 and 1.5 MiB), built inside the traced call
+    # shape's multiset arrays (1.5 and 1.6 MiB), built inside the traced call
     # from a cleared cache, plus a chunk's temporaries; the per-subset loop,
     # holding all 2^k vectors and the whole gather, peaks at 22 to 41 MiB on these
     for d, k in ((91, 3), (33, 4), (512, 2)):
