@@ -22,6 +22,10 @@ import sys
 from contextlib import contextmanager
 from itertools import islice
 
+# One BLAS thread, forced before numpy loads: at dim >= 256, eigvalsh gives
+# other bits under other thread counts, and the output must not depend on them.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 import numpy as np
 
 from .errors import CapExceeded, RhoZetaError

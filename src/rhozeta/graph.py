@@ -11,14 +11,14 @@ constraint).  With at most one edge per ordered pair, a class is fixed by
 its vertex word, and its least rotation is a Lyndon word; enumerate_primes
 generates each such word once, by a breadth-first prenecklace search over
 numpy arrays, one step per length: each level's words are rows of a
-fixed-width buffer, gathered whole with np.take, and two lookup tables over
+fixed-width buffer, gathered whole with take, and two lookup tables over
 edge keys, built once per call, find every word's successors and closing
 edge.  The search counts the rows it builds and refuses, before laying it
 out, a level that would take that count above MAX_SEARCH_STEPS.  It returns
 PrimeClasses: per-length arrays of words and edge norms, iterated as
-PrimeClass items.  The search and the Euler expansion both multiply norms
-with complex_product, which rounds as Python's complex multiply does, bit
-for bit, so they give the same floats as a loop over Python numbers.
+PrimeClass items.  The search multiplies norms with complex_product, which
+rounds as Python's complex multiply does, bit for bit, so it gives the
+same floats as a loop over Python numbers.
 """
 
 from dataclasses import dataclass
@@ -129,11 +129,12 @@ def density_from_weighted_graph(g: LaplacianWeights) -> DensityMatrix:
 def complex_product(a, b) -> np.ndarray:
     """Elementwise a * b of complex arrays, rounded as CPython rounds complex * complex.
 
-    numpy's SIMD complex multiply may fuse a multiply and an add, which rounds
-    once where CPython rounds twice, and so differs from it in the last bit
-    of many products.  Each part is formed here from real products and one
-    sum, re = ar*br - ai*bi and im = ar*bi + ai*br, as CPython forms it, so
-    every element equals the Python product bit for bit.
+    It is the one product the prime search uses.  numpy's SIMD complex
+    multiply may fuse a multiply and an add, which rounds once where CPython
+    rounds twice, and so differs from it in the last bit of many products.
+    Each part is formed here from real products and one sum,
+    re = ar*br - ai*bi and im = ar*bi + ai*br, as CPython forms it, so every
+    element equals the Python product bit for bit.
     """
     a, b = np.asarray(a), np.asarray(b)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
@@ -165,7 +166,7 @@ class PrimeClasses:
 
 
 #: Width of a word row: the first power of two >= PRIME_LENGTH_CAP, so
-#: np.take copies each row whole (16 or 32 bytes for uint8 or uint16 letters).
+#: take copies each row whole (16 or 32 bytes for uint8 or uint16 letters).
 _ROW = 1 << (PRIME_LENGTH_CAP - 1).bit_length()
 
 
@@ -192,7 +193,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     The search is breadth first.  Level t holds every prenecklace of length
     t as the first t letters of a row of a (count, _ROW) word buffer, with
     its period and the complex norm of its t - 1 edges.  Rows are gathered
-    whole with np.take, and the letter t - p of every row is read from the
+    whole with take, and the letter t - p of every row is read from the
     flat buffer.  Edges are keyed origin*(n+1) + terminus, in sorted order,
     so the successors of a word are one run of edges; two tables over all
     (n+1)**2 keys, built once, give the first edge at or above a key and
@@ -234,11 +235,11 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         closing = edge_at[row[lyndon] + word[:, 0][lyndon]]
         closes = closing >= 0
         lyndon, closing = lyndon[closes], closing[closes]
-        words.append(np.take(word, lyndon, axis=0)[:, :t])
+        words.append(word.take(lyndon, axis=0)[:, :t])
         norms.append(complex_product(norm[lyndon], weights[closing]))
         if t == length_cap:
             break
-        floor = np.take(word, np.arange(len(word)) * _ROW + (t - period))
+        floor = word.take(np.arange(len(word)) * _ROW + (t - period))
         # the last level is read only for its classes: it takes only the
         # successors above the floor, its Lyndon words, and keeps those that close
         last_level = t + 1 == length_cap
@@ -256,7 +257,7 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
             closes = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]] >= 0
             parent, edge, grown = parent[closes], edge[closes], grown[closes]
         period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
-        word = np.take(word, parent, axis=0)
+        word = word.take(parent, axis=0)
         word[:, t] = grown
         norm = complex_product(norm[parent], weights[edge])
     return PrimeClasses(words, norms)

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientPowerSums,
     NonRealCoefficient,
 )
-from .graph import PrimeClasses, complex_product
+from .graph import PrimeClasses
 from .linalg import ZERO_TOL, DensityMatrix, check_tol, trace_powers
 
 #: Relative tolerance for merging reciprocal-eigenvalue singularities.
@@ -115,20 +115,15 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
 def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     """Expand the Euler product over prime classes as a truncated series.
 
-    Each class multiplies the series by 1/(1 - norm * u^nu), applied in
-    place as the ascending recurrence c[a] += norm * c[a - nu] for
-    a = nu..order, class by class in (nu, word) order; classes longer than
-    the order leave it unchanged.  Lengths with 2*nu <= order run that loop
-    on Python complex numbers.  For 2*nu > order every index read,
-    a - nu, lies below nu, where no class of that length writes, so each
-    c[a] is its start value plus one product per class.  Those products are
-    formed at once with complex_product, which rounds as Python's complex
-    multiply, and added with np.add.accumulate, which sums left to right as
-    the loop does; so the result is the loop's, bit for bit.  The route
-    shares no code with series_coeffs.  The classes must be complete up to
-    the order, so it may not exceed the length they were enumerated to.
-    Coefficients must come out real (imaginary residue below 1e-9), and the
-    imaginary parts are dropped after the check.
+    The classes of one length nu, with norms n_1..n_K, multiply the series
+    by prod_i 1/(1 - n_i x) = sum_j h_j(n) x^j at x = u^nu, where h_j is the
+    complete homogeneous sum of degree j.  Over the prefixes n_1..n_i,
+    h_j = h_j(n_1..n_{i-1}) + n_i h_{j-1}(n_1..n_i), so the prefix sums of
+    the norms times the prefix h_{j-1} give the prefix h_j, and the last is
+    h_j.  The route shares no code with series_coeffs.  The classes must be
+    complete up to the order, so it may not exceed the length they were
+    enumerated to.  Coefficients must come out real (imaginary residue
+    below 1e-9), and the imaginary parts are dropped after the check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -136,22 +131,20 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
         raise IncompletePrimes(
             f"order {order} exceeds the length {len(primes.norms)} the primes were enumerated to"
         )
-    coeffs = [0j] * (order + 1)
-    coeffs[0] = 1 + 0j
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[0] = 1
     for nu, norms in enumerate(primes.norms[:order], start=1):
-        if 2 * nu <= order:
-            for norm in norms.tolist():
-                for a in range(nu, order + 1):
-                    coeffs[a] += norm * coeffs[a - nu]
+        if not len(norms):
             continue
-        terms = np.empty((len(norms) + 1, order + 1 - nu), dtype=complex)
-        terms[0] = coeffs[nu:]
-        terms[1:] = complex_product(norms[:, None], coeffs[:order + 1 - nu])
-        coeffs[nu:] = np.add.accumulate(terms)[-1].tolist()
-    worst = max(abs(c.imag) for c in coeffs)
+        before = coeffs.copy()
+        h = np.ones(len(norms))
+        for j in range(1, order // nu + 1):
+            h = np.add.accumulate(norms * h)
+            coeffs[j * nu:] += h[-1] * before[:order + 1 - j * nu]
+    worst = np.abs(coeffs.imag).max()
     if worst > _IMAG_TOL:
         raise NonRealCoefficient(f"imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.1e}")
-    return ZetaSeries(tuple(c.real for c in coeffs))
+    return ZetaSeries(tuple(coeffs.real.tolist()))
 
 
 @lru_cache(maxsize=1)

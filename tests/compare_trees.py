@@ -4,9 +4,15 @@
 
 OLD and NEW are checkouts of the repository (each with a src/rhozeta
 package); `python tests/compare_trees.py . .` checks that the output does
-not depend on the hash seed.  Each tree runs the whole corpus of
-tests/cli_corpus.py in one child process, with PYTHONPATH=TREE/src and
-its own PYTHONHASHSEED, calling rhozeta.cli.main in process.  Both
+not depend on the hash seed or the BLAS thread count.  Each tree runs the
+whole corpus of tests/cli_corpus.py in one child process, with
+PYTHONPATH=TREE/src and its own PYTHONHASHSEED and OPENBLAS_NUM_THREADS
+(OLD at one thread, NEW at two), calling rhozeta.cli.main in process.
+Above dim 256, LAPACK's eigensolver gives other bits under other thread
+counts, and the default count is the host's core count, so two children
+that shared one count could not see output that differs between hosts.
+The CLI pins one thread, so a tree from before that pin still matches a
+pinned one when it runs at one thread, as OLD does.  Both
 children read the same input files and write the same --out paths.  For
 each invocation the exit code and the bytes of stdout, stderr and the
 --out file (or its absence) are compared.  Every argv that differs is
@@ -23,7 +29,9 @@ from pathlib import Path
 
 import cli_corpus
 
-HASH_SEEDS = ("0", "12345")
+#: Each child's hash seed and BLAS thread count, OLD's first.
+CHILD_ENVS = ({"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"},
+              {"PYTHONHASHSEED": "12345", "OPENBLAS_NUM_THREADS": "2"})
 
 # Runs in the child: reads [argv, ...] from stdin and writes one
 # [code, stdout, stderr, out file] digest list per argv to stdout.
@@ -58,10 +66,10 @@ json.dump(results, sys.stdout)
 _FIELDS = ("exit code", "stdout", "stderr", "--out file")
 
 
-def run_tree(tree, runs, workdir, hash_seed) -> list:
+def run_tree(tree, runs, workdir, child_env) -> list:
     """Each invocation's [code, stdout, stderr, --out file] digests from tree's src/."""
     src = str(Path(tree, "src").resolve())
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    env = {**os.environ, "PYTHONPATH": src, **child_env}
     proc = subprocess.run([sys.executable, "-c", _CHILD, src], input=json.dumps(runs), capture_output=True,
                           text=True, cwd=workdir, env=env)
     if proc.returncode != 0:
@@ -71,8 +79,8 @@ def run_tree(tree, runs, workdir, hash_seed) -> list:
 
 def differences(old, new, runs, workdir) -> list:
     """(argv, differing fields) for each invocation whose results differ between the trees."""
-    before = run_tree(old, runs, workdir, HASH_SEEDS[0])
-    after = run_tree(new, runs, workdir, HASH_SEEDS[1])
+    before = run_tree(old, runs, workdir, CHILD_ENVS[0])
+    after = run_tree(new, runs, workdir, CHILD_ENVS[1])
     return [(argv, [field for field, a, b in zip(_FIELDS, x, y) if a != b])
             for argv, x, y in zip(runs, before, after) if x != y]
 

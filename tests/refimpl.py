@@ -6,14 +6,14 @@ oracle's permanent sum, the one-subset-at-a-time recurrence pins its bits,
 the partition-sum cycle index checks the series recurrence, the
 one-product-at-a-time power sums and the generator form of the recurrence
 pin the bits of trace_powers and series_coeffs, exact rationals give
-the zeta values and power sums of float eigenvalues, the recursive
-prime generator and the per-start-vertex step count check the array prime
-search and its step bound, seeded Haar unitaries drive the
-basis-invariance checks, seeded magnitude-symmetric weights drive the
-Laplacian checks, and the matrix JSON encoder writes the files the
-CLI reads.  The gather and the dense operators cost d^k and k!, more than the
-package's oracle, so they keep their own caps, DENSE_MAX_COPIES and
-DENSE_MAX_DIM on d^k.
+the zeta values and power sums of float eigenvalues and the Euler
+coefficients of float norms, the recursive prime generator and the
+per-start-vertex step count check the array prime search and its step
+bound, seeded Haar unitaries drive the basis-invariance checks, seeded
+magnitude-symmetric weights drive the Laplacian checks, and the matrix
+JSON encoder writes the files the CLI reads.  The gather and the dense
+operators cost d^k and k!, more than the package's oracle, so they keep
+their own caps, DENSE_MAX_COPIES and DENSE_MAX_DIM on d^k.
 """
 
 import json
@@ -333,18 +333,35 @@ def enumerate_primes_recursive(g, length_cap: int, visits=None) -> list:
     return [prime for bucket in by_length for prime in bucket]
 
 
-def euler_product_loop(primes, order: int) -> list:
-    """Complex c_0..c_order of the Euler product, one in-place recurrence per class.
+def exact_euler_coeffs(primes, order: int) -> tuple:
+    """The Euler product's c_0..c_order over the float norms, exact, with its error scale.
 
-    c[a] += norm * c[a - nu] for a = nu..order, class by class in the
-    order given; no reality check.
+    Runs the per-class recurrence c[a] += norm * c[a - nu], a = nu..order,
+    class by class, on the classes of length at most order.  Every float is
+    an integer over a power of two, so with each norm's parts taken as
+    integers N over one common denominator D, c_a is a Gaussian integer
+    C_a over D^a, and the recurrence runs on those integers:
+    C_a += N * C_(a-nu) * D^(nu-1).  Returns (exact, scale): exact[a] is
+    c_a as a (re, im) pair of Fractions, and scale[a] is coefficient a of
+    the same expansion over |norm|, in floats.  Its terms are the
+    magnitudes of the terms of c_a, all nonnegative, so it rounds with a
+    small relative error.
     """
-    coeffs = [0j] * (order + 1)
-    coeffs[0] = 1 + 0j
-    for prime in primes:
-        for a in range(prime.nu, order + 1):
-            coeffs[a] += prime.edge_norm * coeffs[a - prime.nu]
-    return coeffs
+    classes = [(p.nu, p.edge_norm) for p in primes if p.nu <= order]
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for _, z in classes]
+    den = max((d for parts in ratios for _, d in parts), default=1)
+    re, im = [1] + [0] * order, [0] * (order + 1)
+    scale = [1.0] + [0.0] * order
+    for (nu, z), ((rn, rd), (jn, jd)) in zip(classes, ratios):
+        n_re, n_im = rn * (den // rd), jn * (den // jd)
+        lift = den ** (nu - 1)
+        for a in range(nu, order + 1):
+            r, i = re[a - nu] * lift, im[a - nu] * lift
+            re[a] += n_re * r - n_im * i
+            im[a] += n_re * i + n_im * r
+            scale[a] += abs(z) * scale[a - nu]
+    exact = [(Fraction(r, den ** a), Fraction(i, den ** a)) for a, (r, i) in enumerate(zip(re, im))]
+    return exact, scale
 
 
 def primes_csv_rows(primes) -> str:

@@ -3,11 +3,14 @@
 import gc
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refimpl import enumerate_primes_recursive, euler_product_loop, primes_csv_rows, random_laplacian_weights
+from refimpl import enumerate_primes_recursive, exact_euler_coeffs, primes_csv_rows, random_laplacian_weights
 from rhozeta import cli, graph, zeta
 from rhozeta.cli import dot_lines, primes_lines
 from rhozeta.errors import AllLoops, CapExceeded, DimensionMismatch
@@ -313,7 +316,8 @@ def wide_cycle_digraph(n):
 
 
 #: Graphs the array search and the Euler expansion are compared on, with the
-#: recursive generator and the per-class loop of tests/refimpl.py as reference.
+#: recursive generator and the exact Euler coefficients of tests/refimpl.py as
+#: reference.
 REFERENCE_GRAPHS = {
     "builtin": lambda: [graph_from_density(builtin_state(name)) for name in BUILTIN_STATES],
     "dense": lambda: [graph_from_density(random_density(d, s)) for d in range(1, 7) for s in range(3)],
@@ -324,9 +328,9 @@ REFERENCE_GRAPHS = {
 
 
 #: A reference length's search finds at most this many classes, for the
-#: per-class Euler loop, and builds at most this many rows, about the calls
-#: the recursive generator makes.  No graph above gets a longer reference
-#: length than the walk bound the search was once capped by gave it.
+#: per-class exact Euler recurrence, and builds at most this many rows, about
+#: the calls the recursive generator makes.  No graph above gets a longer
+#: reference length than the walk bound the search was once capped by gave it.
 REFERENCE_CLASSES, REFERENCE_ROWS = 1_000, 10_000
 
 
@@ -360,20 +364,64 @@ def test_enumeration_matches_recursive_generator(family, monkeypatch):
             assert list(primes_lines(primes)) == rows, g
 
 
+def assert_euler_within_exact_bound(primes, length_cap):
+    """At every order up to length_cap, each c_a of euler_product_coeffs lies
+    within (K + order) * 2^-52 * S_a of the exact value's real part, where K
+    counts the classes up to the order and S_a is the expansion over |norm|."""
+    exact, scale = exact_euler_coeffs(primes, length_cap)
+    for order in range(length_cap + 1):
+        coeffs = zeta.euler_product_coeffs(primes, order).coeffs
+        classes = sum(len(norms) for norms in primes.norms[:order])
+        for a, c in enumerate(coeffs):
+            error = abs(Fraction(c) - exact[a][0])
+            assert error <= (classes + order) * 2.0 ** -52 * scale[a], (order, a, float(error), scale[a])
+
+
 @pytest.mark.parametrize("family", sorted(REFERENCE_GRAPHS))
-def test_euler_matches_per_class_loop(family, monkeypatch):
+def test_euler_matches_exact_reference(family, monkeypatch):
     # the sparse digraphs are not Hermitian; lifting the reality check lets
     # their coefficients be compared too, and an error in an imaginary part
     # reaches the real parts at higher orders
     monkeypatch.setattr(zeta, "_IMAG_TOL", math.inf)
     for g in REFERENCE_GRAPHS[family]():
         length_cap = reference_length(g)
-        primes = enumerate_primes(g, length_cap)
-        reference = enumerate_primes_recursive(g, length_cap)
-        for order in range(1, length_cap + 1):
-            coeffs = zeta.euler_product_coeffs(primes, order).coeffs
-            expected = euler_product_loop(reference, order)
-            assert [c.hex() for c in coeffs] == [c.real.hex() for c in expected], (g, order)
+        assert_euler_within_exact_bound(enumerate_primes(g, length_cap), length_cap)
+
+
+@st.composite
+def weighted_patterns(draw):
+    """A digraph on 1..5 vertices from a random 0/1 edge pattern, loops-only and
+    empty ones included, with complex normal weights, and a length cap up to 6."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["pattern", "loops", "empty"]))
+    if kind == "pattern":
+        pattern = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    else:
+        pattern = np.eye(n, dtype=bool) if kind == "loops" else np.zeros((n, n), dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = np.where(pattern, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0)
+    return WeightedDigraph(weights), draw(st.integers(1, 6))
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(case=weighted_patterns())
+def test_euler_within_exact_bound_on_random_patterns(case):
+    """The exact bound holds at every order, order 0 is the constant series,
+    and a length without classes between two with classes changes nothing:
+    emptying it leaves the other lengths' product, within the same bound."""
+    g, length_cap = case
+    primes = enumerate_primes(g, length_cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zeta, "_IMAG_TOL", math.inf)
+        assert zeta.euler_product_coeffs(primes, 0).coeffs == (1.0,)
+        assert_euler_within_exact_bound(primes, length_cap)
+        gaps = [nu for nu in range(2, length_cap) if len(primes.norms[nu - 2]) and len(primes.norms[nu])]
+        for nu in gaps:
+            norms = list(primes.norms)
+            norms[nu - 1] = norms[nu - 1][:0]
+            words = list(primes.words)
+            words[nu - 1] = words[nu - 1][:0]
+            assert_euler_within_exact_bound(PrimeClasses(words, norms), length_cap)
 
 
 def test_search_step_cap(monkeypatch):
@@ -427,7 +475,7 @@ def test_complex_product_matches_python_bit_for_bit():
     i, j = rng.integers(0, size, (2, size))
     want = [x * y for x, y in zip(a[i].tolist(), b[j].tolist())]
     assert hexes(complex_product(a[i], b[j]).tolist()) == hexes(want)
-    # a column times a row of Python complex numbers, as euler_product_coeffs passes them
+    # a column times a list of Python complex numbers, broadcast to a table
     column, row = a[:300], b[:400].tolist()
     want = [x * y for x in column.tolist() for y in row]
     assert hexes(complex_product(column[:, None], row).ravel().tolist()) == hexes(want)
