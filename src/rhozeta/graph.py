@@ -8,25 +8,29 @@ The primes of such a graph are equivalence classes, under cyclic rotation,
 of primitive closed walks; walks may revisit vertices and edges, and the
 directed edges (i, j) and (j, i) are independent (no backtracking
 constraint).  With at most one edge per ordered pair, a class is fixed by
-its vertex word, and its least rotation is a Lyndon word; enumerate_primes
-generates each such word once, by a breadth-first prenecklace search over
-numpy arrays, one step per length: each level's words are rows of a
-fixed-width buffer, gathered whole with take, and two lookup tables over
-edge keys, built once per call, find every word's successors and closing
-edge.  The search counts the rows it builds and refuses, before laying it
-out, a level that would take that count above MAX_SEARCH_STEPS.  It returns
+its vertex word, and its least rotation is a Lyndon word.  enumerate_primes
+finds them in two phases.  The symbolic phase depends on the edge pattern
+and the length cap alone: a breadth-first prenecklace search over numpy
+arrays, one step per length, generates each word once and records, as
+index arrays, how each level's rows grow from the last and which rows close
+along which edge.  The search counts the rows it builds and refuses, before
+laying it out, a level that would take that count above MAX_SEARCH_STEPS.
+Its plan is kept, by (length cap, pattern), in a byte-bounded cache, so
+another weighting of the same pattern skips it.  The numeric phase gathers
+edge weights along the plan and multiplies the norms with complex_product,
+which rounds as Python's complex multiply does, bit for bit, so it gives
+the same floats as a loop over Python numbers.  The result is
 PrimeClasses: per-length arrays of words and edge norms, iterated as
-PrimeClass items.  The search multiplies norms with complex_product, which
-rounds as Python's complex multiply does, bit for bit, so it gives the
-same floats as a loop over Python numbers.
+PrimeClass items.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AllLoops, CapExceeded
-from .linalg import ZERO_TOL, DensityMatrix, as_square_matrix, validate_density
+from .linalg import ZERO_TOL, ByteBoundedCache, DensityMatrix, as_square_matrix, validate_density
 
 #: Hard cap on prime length; enumeration cost grows exponentially.
 PRIME_LENGTH_CAP = 14
@@ -178,43 +182,48 @@ def check_length_cap(length_cap: int) -> None:
         raise CapExceeded(f"length cap {length_cap} exceeds hard cap {PRIME_LENGTH_CAP}")
 
 
-def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
-    """Enumerate prime classes of closed walks up to the given length.
+def _index_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that indexes an array of the given length."""
+    return np.min_scalar_type(max(size - 1, 0))
 
-    A prime class is a Lyndon word over the vertex alphabet whose consecutive
-    letters, and last and first letters, are joined by edges.  Ruskey's
-    prenecklace scheme builds each word once: a prenecklace of length t with
-    period p grows along an edge to any successor >= its letter t - p, and it
-    is a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
-    the search keeps a running count of the rows it builds, n for level 1 and
-    then each level's exact size, and raises CapExceeded before it lays out a
-    level that takes the count above MAX_SEARCH_STEPS.
 
-    The search is breadth first.  Level t holds every prenecklace of length
-    t as the first t letters of a row of a (count, _ROW) word buffer, with
-    its period and the complex norm of its t - 1 edges.  Rows are gathered
-    whole with take, and the letter t - p of every row is read from the
-    flat buffer.  Edges are keyed origin*(n+1) + terminus, in sorted order,
-    so the successors of a word are one run of edges; two tables over all
-    (n+1)**2 keys, built once, give the first edge at or above a key and
-    the edge with a key (or -1), so one lookup finds where each run starts
-    and ends and whether a word closes.  np.repeat lays out the next level.
-    The last level is built from successors above the floor letter only,
-    which are its Lyndon words.  Children follow their parent in ascending
-    terminus order, so each level, and the classes taken from it, are in
-    lexicographic order without a sort.  Norms are multiplied with
-    complex_product, left to right from 1 + 0j, so each is the same float
-    as a product of Python complex numbers.  Every row held, in a level or
-    among the classes kept, is one the count took in, so memory is bounded
-    by MAX_SEARCH_STEPS rows; a refused search may first build up to that
-    many.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _Plan(NamedTuple):
+    """What a prime search finds from its edge pattern alone, for every length t.
+
+    words[t - 1] holds the class words of length t, and closes[t - 1] the
+    (lyndon, closing) pair: the level-t rows that close into those classes
+    and their closing edges.  steps[t - 1] is the (parent, edge) pair that
+    lays out level t + 1: each row's parent in level t and the edge it
+    grows along.  Edges are numbered in np.nonzero order.  built is the
+    search's row count.
     """
-    check_length_cap(length_cap)
-    n = g.n_vertices
+
+    words: tuple
+    closes: tuple
+    steps: tuple
+    built: int
+
+
+def _build_plan(length_cap: int, n: int, pattern: bytes) -> _Plan:
+    """The breadth-first prenecklace search over the edge pattern packed in pattern.
+
+    pattern is np.packbits of the n x n boolean edge matrix.  The search
+    keeps no norms: it records, per level, which rows close and along which
+    edge, and how each row of the next level grows from the last, every
+    index array in the narrowest unsigned dtype that holds it.  It raises
+    CapExceeded before it lays out a level that takes its running row count
+    above MAX_SEARCH_STEPS.
+    """
+    mask = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n)
     stride = n + 1
     letter = np.min_scalar_type(n)
-    origin, terminus = np.nonzero(g.weights)
-    weights = g.weights[origin, terminus]
+    origin, terminus = np.nonzero(mask)
+    edge_index = _index_dtype(len(origin))
     termini = (terminus + 1).astype(letter)
     key = (origin + 1) * stride + terminus + 1
     # first_edge[k]: the first edge with key >= k; its last entry, at
@@ -226,17 +235,17 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     word = np.zeros((n, _ROW), dtype=letter)
     word[:, 0] = np.arange(1, n + 1)
     period = np.ones(n, dtype=np.uint8)
-    norm = np.ones(n, dtype=complex)
-    words, norms = [], []
+    words, closes, steps = [], [], []
     built = n
     for t in range(1, length_cap + 1):
+        row_index = _index_dtype(len(word))
         row = word[:, t - 1].astype(np.intp) * stride  # the keys of the last letter's edges start here
         lyndon = np.flatnonzero(period == t)
         closing = edge_at[row[lyndon] + word[:, 0][lyndon]]
-        closes = closing >= 0
-        lyndon, closing = lyndon[closes], closing[closes]
-        words.append(word.take(lyndon, axis=0)[:, :t])
-        norms.append(complex_product(norm[lyndon], weights[closing]))
+        closes_here = closing >= 0
+        lyndon, closing = lyndon[closes_here], closing[closes_here]
+        words.append(_frozen(word[lyndon, :t]))
+        closes.append((_frozen(lyndon.astype(row_index)), _frozen(closing.astype(edge_index))))
         if t == length_cap:
             break
         floor = word.take(np.arange(len(word)) * _ROW + (t - period))
@@ -254,10 +263,80 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
         edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         grown = termini[edge]
         if last_level:
-            closes = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]] >= 0
-            parent, edge, grown = parent[closes], edge[closes], grown[closes]
+            closes_here = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]] >= 0
+            parent, edge, grown = parent[closes_here], edge[closes_here], grown[closes_here]
         period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
         word = word.take(parent, axis=0)
         word[:, t] = grown
-        norm = complex_product(norm[parent], weights[edge])
-    return PrimeClasses(words, norms)
+        steps.append((_frozen(parent.astype(row_index)), _frozen(edge.astype(edge_index))))
+    return _Plan(tuple(words), tuple(closes), tuple(steps), built)
+
+
+#: Bytes of search plans kept between calls.  A search peaks at about 120 bytes
+#: per row it builds (503 MB for the 4,284,864 rows of --state random --dim 64
+#: --L 4), so one at MAX_SEARCH_STEPS may reach 600 MB, and kept plans may add a
+#: twentieth of that.  A plan takes 4 to 18 bytes per row its search built: the
+#: 12 shapes of the primes benchmark (1.6 MiB in all) fit many times over, and
+#: the 65 MiB plan of --dim 64 --L 4 is returned and not kept.
+_PLAN_CACHE_BYTES = MAX_SEARCH_STEPS * 120 // 20
+
+_plans = ByteBoundedCache(_build_plan, _PLAN_CACHE_BYTES)
+
+
+def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
+    """Enumerate prime classes of closed walks up to the given length.
+
+    A prime class is a Lyndon word over the vertex alphabet whose consecutive
+    letters, and last and first letters, are joined by edges.  Ruskey's
+    prenecklace scheme builds each word once: a prenecklace of length t with
+    period p grows along an edge to any successor >= its letter t - p, and it
+    is a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
+    the search keeps a running count of the rows it builds, n for level 1 and
+    then each level's exact size, and raises CapExceeded before it lays out a
+    level that takes the count above MAX_SEARCH_STEPS.
+
+    The words, their order and the edges each norm multiplies depend only on
+    which weights are nonzero, so the search runs once per (length_cap,
+    pattern) and its plan is kept in _plans, within _PLAN_CACHE_BYTES; a
+    kept plan that built more rows than MAX_SEARCH_STEPS now allows is
+    searched again, so the search itself refuses it.  The search is breadth first.  Level t holds
+    every prenecklace of length t as the first t letters of a row of a
+    (count, _ROW) word buffer, with its period.  Rows are gathered whole
+    with take, and the letter t - p of every row is read from the flat
+    buffer.  Edges are keyed origin*(n+1) + terminus, in sorted order, which
+    is np.nonzero's order, so the successors of a word are one run of edges;
+    two tables over all (n+1)**2 keys, built once, give the first edge at or
+    above a key and the edge with a key (or -1), so one lookup finds where
+    each run starts and ends and whether a word closes.  np.repeat lays out
+    the next level.  The last level is built from successors above the floor
+    letter only, which are its Lyndon words.  Children follow their parent
+    in ascending terminus order, so each level, and the classes taken from
+    it, are in lexicographic order without a sort.  The plan keeps each
+    length's class words as a read-only (count, t) array, the rows that close
+    with their closing edges, and each level's parent rows and edges.
+
+    The numeric pass runs the same products on every call: from norms of
+    1 + 0j on level 1, a level's norms are its parents' norms times the
+    edges grown along, and its classes' norms those of its closing rows
+    times their closing edges, all with complex_product, so each is the same
+    float as a left-to-right product of Python complex numbers.  Every row
+    held, in a level or among the classes kept, is one the count took in,
+    so memory is bounded by MAX_SEARCH_STEPS rows; a refused search may
+    first build up to that many.
+    """
+    check_length_cap(length_cap)
+    n = g.n_vertices
+    mask = g.weights != 0
+    pattern = np.packbits(mask).tobytes()
+    plan = _plans(length_cap, n, pattern)
+    if plan.built > MAX_SEARCH_STEPS:  # kept under a larger cap: the search refuses it now
+        plan = _build_plan(length_cap, n, pattern)
+    weights = g.weights[mask]
+    norm = np.ones(n, dtype=complex)
+    norms = []
+    for t, (lyndon, closing) in enumerate(plan.closes):
+        if t:
+            parent, edge = plan.steps[t - 1]
+            norm = complex_product(norm.take(parent), weights.take(edge))
+        norms.append(complex_product(norm.take(lyndon), weights.take(closing)))
+    return PrimeClasses(plan.words, norms)

@@ -4,6 +4,10 @@ Matrices are plain numpy complex128 arrays; the only wrapper type is
 DensityMatrix, which is produced by validate_density and carries its
 eigenvalues, computed once, during validation, by numpy's eigvalsh.
 
+ByteBoundedCache keeps values built from a key while their bytes fit a
+budget; the acceptance oracle keeps its multiset arrays in one, and the
+prime search its plans.
+
 Index convention, fixed package-wide: in a bipartite system the first
 subsystem (A) is the slow, most-significant index, as in np.kron(A, B), so
 partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
@@ -178,6 +182,51 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
     return validate_density(w / np.trace(w).real)
+
+
+def _nbytes(value) -> int:
+    """Bytes of the numpy arrays in a value, nested in tuples; anything else counts 0."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
+
+
+class ByteBoundedCache:
+    """The values of build(*key), each built on the first call for its key and kept
+    while the bytes kept fit a budget.
+
+    A value's bytes are those of the numpy arrays it holds, nested in tuples.
+    Once keeping a new value would pass the budget, the least recently used
+    values are dropped first, so many small values never push each other
+    out; a value larger than the whole budget is returned and not kept, and
+    nothing is dropped for it.  hits, misses and nbytes count what the cache
+    did and holds, and nbytes never passes the budget.
+    """
+
+    def __init__(self, build, budget: int):
+        self.build = build
+        self.budget = budget
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._entries = {}  # key -> (value, bytes), least recently used first
+        self.hits = self.misses = self.nbytes = 0
+
+    def __call__(self, *key):
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.hits += 1
+            self._entries[key] = entry
+            return entry[0]
+        self.misses += 1
+        value = self.build(*key)
+        size = _nbytes(value)
+        if size <= self.budget:
+            while self.nbytes + size > self.budget:
+                self.nbytes -= self._entries.pop(next(iter(self._entries)))[1]
+            self._entries[key] = value, size
+            self.nbytes += size
+        return value
 
 
 # -- matrix JSON format ------------------------------------------------------

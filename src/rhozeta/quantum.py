@@ -12,7 +12,8 @@ The permanents come from a subset recurrence run one layer of subsets per
 size, on chunks of multisets at a time, so Python issues a few numpy calls
 per layer and chunk rather than one per subset, and memory stays bounded.
 Each (d, k) shape's multiset arrays are built once and kept while they fit
-a byte budget, so a call on a shape seen before pays only its arithmetic.
+a byte budget, in a linalg.ByteBoundedCache, so a call on a shape seen
+before pays only its arithmetic.
 Neither the d^k x d^k projector nor the Kronecker power is ever formed.
 It is deliberately independent of the series machinery in zeta.py so the
 two can cross-check each other.
@@ -24,7 +25,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from .errors import CapExceeded, InvalidParameter
-from .linalg import MAX_DIM, DensityMatrix, partial_trace, random_density, validate_density
+from .linalg import MAX_DIM, ByteBoundedCache, DensityMatrix, partial_trace, random_density, validate_density
 
 #: Caps of the acceptance oracle.  Its recurrence spends k 2^(k-1) complex multiply-adds
 #: on each of the C(d+k-1, k) multisets, k/2 per entry of a C(d+k-1, k) 2^k table, so the
@@ -189,40 +190,7 @@ def _build_shape(d: int, k: int) -> tuple:
     return table, offsets, weights
 
 
-class _ShapeCache:
-    """The oracle's multiset arrays by (d, k), kept while their bytes fit a budget.
-
-    A call returns _build_shape(d, k), built on the first call for its shape.
-    Once the bytes kept would pass the budget, the least recently used
-    shapes are dropped first, so many small shapes never push each other
-    out.  hits, misses and nbytes count what the cache did and holds.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._entries = {}  # (d, k) -> arrays, least recently used first
-        self.hits = self.misses = self.nbytes = 0
-
-    def __call__(self, d: int, k: int) -> tuple:
-        entry = self._entries.pop((d, k), None)
-        if entry is None:
-            self.misses += 1
-            entry = _build_shape(d, k)
-            size = sum(array.nbytes for array in entry)
-            while self._entries and self.nbytes + size > self.budget:
-                dropped = self._entries.pop(next(iter(self._entries)))
-                self.nbytes -= sum(array.nbytes for array in dropped)
-            self.nbytes += size
-        else:
-            self.hits += 1
-        self._entries[d, k] = entry
-        return entry
-
-
-_multisets = _ShapeCache(_SHAPE_CACHE_BYTES)
+_multisets = ByteBoundedCache(_build_shape, _SHAPE_CACHE_BYTES)
 
 
 def acceptance_probability(rho: DensityMatrix, k: int) -> float:

@@ -443,11 +443,45 @@ def test_search_step_cap(monkeypatch):
             enumerate_primes(g, length_cap)
 
 
+def test_prime_plan_is_built_once_per_pattern():
+    # two weightings of one edge pattern share one plan; each gives the bits
+    # of a cold search and of the recursive generator
+    plans = graph._plans
+    plans.cache_clear()
+    pattern = random_sparse_digraph(3).weights != 0
+    rng = np.random.default_rng(33)
+    weightings = [WeightedDigraph(np.where(pattern, rng.standard_normal(pattern.shape)
+                                           + 1j * rng.standard_normal(pattern.shape), 0)) for _ in range(2)]
+    length_cap = 6
+    warm = [enumerate_primes(g, length_cap) for g in weightings]
+    assert (plans.misses, plans.hits) == (1, 1)
+    for g, primes in zip(weightings, warm):
+        plans.cache_clear()
+        want = hex_classes(enumerate_primes_recursive(g, length_cap))
+        assert hex_classes(primes) == hex_classes(enumerate_primes(g, length_cap)) == want, g
+    for words in warm[0].words:
+        with pytest.raises(ValueError):
+            words[...] = 1
+    # another L, another pattern, and one whose packed bits equal another's on
+    # fewer vertices each get their own plan
+    plans.cache_clear()
+    other = pattern.copy()
+    other[0, 0] = not other[0, 0]
+    for g, cap in [(weightings[0], length_cap), (weightings[0], length_cap - 1),
+                   (WeightedDigraph(other.astype(complex)), length_cap),
+                   (WeightedDigraph([[1]]), 3), (WeightedDigraph([[1, 0], [0, 0]]), 3)]:
+        enumerate_primes(g, cap)
+    assert (plans.misses, plans.hits) == (5, 0)
+    assert len(enumerate_primes(WeightedDigraph([[1, 0], [0, 0]]), 3)) == 1
+    assert plans.hits == 1
+
+
 def test_words_are_count_by_length_arrays_of_the_smallest_letter_dtype():
     for g, letter in [(graph_from_density(PLUS), np.uint8), (wide_cycle_digraph(300), np.uint16)]:
         primes = enumerate_primes(g, reference_length(g))
         for nu, (words, norms) in enumerate(zip(primes.words, primes.norms), start=1):
             assert words.dtype == letter and words.shape == (len(norms), nu), (g, nu)
+            assert words.flags.c_contiguous, (g, nu)  # nu letters a class, not a view of wider rows
     assert primes.words[1].tolist() == [[299, 300]]
     assert [253, 254, 255, 256] in primes.words[3].tolist()
 

@@ -26,6 +26,7 @@ from rhozeta.errors import (
 from rhozeta.linalg import (
     MAX_DIM,
     POWER_BLOCK,
+    ByteBoundedCache,
     DensityMatrix,
     load_matrix,
     matrix_from_json,
@@ -338,6 +339,26 @@ def test_random_density_dim_cap_refuses_before_drawing():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- ByteBoundedCache ----------------------------------------------------------
+
+def test_byte_bounded_cache_keeps_no_value_above_its_budget():
+    # a value is its arrays' bytes, nested in tuples; a value over the whole
+    # budget is returned, not kept, and drops nothing; otherwise the least
+    # recently used go first, and the bytes kept never pass the budget
+    cache = ByteBoundedCache(lambda size: (np.zeros(size, dtype=np.uint8), (np.zeros(0), size)), 10)
+    calls = [(4, "miss"), (5, "miss"), (11, "miss"), (4, "hit"), (5, "hit"), (11, "miss"),
+             (3, "miss"), (5, "hit"), (4, "miss")]
+    for size, outcome in calls:
+        hits, misses = cache.hits, cache.misses
+        value = cache(size)
+        assert len(value[0]) == size and value[1][1] == size
+        assert (cache.hits - hits, cache.misses - misses) == ((1, 0) if outcome == "hit" else (0, 1)), size
+        assert cache.nbytes <= cache.budget, size
+    assert cache.nbytes == 5 + 4 and (cache.hits, cache.misses) == (3, 6)
+    cache.cache_clear()
+    assert (cache.hits, cache.misses, cache.nbytes) == (0, 0, 0)
 
 
 # -- matrix JSON format -------------------------------------------------------
