@@ -8,20 +8,36 @@ The primes of such a graph are equivalence classes, under cyclic rotation,
 of primitive closed walks; walks may revisit vertices and edges, and the
 directed edges (i, j) and (j, i) are independent (no backtracking
 constraint).  With at most one edge per ordered pair, a class is fixed by
-its vertex word, and its least rotation is a Lyndon word.  enumerate_primes
-finds them in two phases.  The symbolic phase depends on the edge pattern
-and the length cap alone: a breadth-first prenecklace search over numpy
-arrays, one step per length, generates each word once and records, as
-index arrays, how each level's rows grow from the last and which rows close
-along which edge.  The search counts the rows it builds and refuses, before
-laying it out, a level that would take that count above MAX_SEARCH_STEPS.
-Its plan is kept, by (length cap, pattern), in a byte-bounded cache, so
-another weighting of the same pattern skips it.  The numeric phase gathers
-edge weights along the plan and multiplies the norms with complex_product,
-which rounds as Python's complex multiply does, bit for bit, so it gives
-the same floats as a loop over Python numbers.  The result is
-PrimeClasses: per-length arrays of words and edge norms, iterated as
-PrimeClass items.
+its vertex word, and its least rotation is a Lyndon word.
+
+enumerate_primes finds them in two phases.  The symbolic phase depends on
+the edge pattern and the length cap alone.  It is Ruskey's prenecklace
+scheme pruned to graph edges, which generates each word once, run breadth
+first with one numpy step per length.  A prenecklace of length t and
+period p grows along an edge to any successor at or above its letter
+t - p; the child keeps period p if it grows to that letter and has period
+t + 1 otherwise, and a word is a Lyndon word exactly when its period is its
+length.  Level t holds every prenecklace of length t as a row of a
+fixed-width word buffer, gathered whole with take, and children follow
+their parent in ascending successor order, so each level is in
+lexicographic order without a sort.  Edges are keyed origin * (n + 1) +
+terminus, which is np.nonzero's order, so a letter's successors are one
+run of edges; two tables over all keys give the first edge at or above a
+key and the edge with a key, so one lookup finds each run and one finds
+each grown row's closing edge.  A level's classes are its Lyndon rows
+that close; level 1's are the loops.  The last level grows only to
+successors above the floor letter, which are its Lyndon words, and keeps
+those that close, so all its rows are classes.  The search counts the rows
+it builds and refuses, before laying it out, a level that would take that
+count above MAX_SEARCH_STEPS.  Its plan is kept in a byte-bounded cache,
+so another weighting of the same pattern skips it.  The numeric phase
+gathers edge weights along the plan: a level's norms are its parents'
+norms times the edges grown along, and its classes' norms those of their
+rows times their closing edges, from norms of 1 + 0j on level 1.  Every
+product is complex_product, which rounds as Python's complex multiply
+does, bit for bit, so the norms are the same floats as a loop over Python
+numbers.  The result is PrimeClasses: per-length arrays of words and edge
+norms, iterated as PrimeClass items.
 """
 
 from dataclasses import dataclass
@@ -193,31 +209,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """What a prime search finds from its edge pattern alone, for every length t.
-
-    words[t - 1] holds the class words of length t, and closes[t - 1] the
-    (lyndon, closing) pair: the level-t rows that close into those classes
-    and their closing edges.  steps[t - 1] is the (parent, edge) pair that
-    lays out level t + 1: each row's parent in level t and the edge it
-    grows along.  Edges are numbered in np.nonzero order.  built is the
-    search's row count.
-    """
+    """What a prime search finds from its edge pattern alone; _build_plan says what it holds."""
 
     words: tuple
     closes: tuple
     steps: tuple
-    built: int
 
 
-def _build_plan(length_cap: int, n: int, pattern: bytes) -> _Plan:
-    """The breadth-first prenecklace search over the edge pattern packed in pattern.
+def _build_plan(length_cap: int, n: int, pattern: bytes, max_rows: int) -> _Plan:
+    """The prenecklace search over the n x n edge matrix that np.packbits packed into pattern.
 
-    pattern is np.packbits of the n x n boolean edge matrix.  The search
-    keeps no norms: it records, per level, which rows close and along which
-    edge, and how each row of the next level grows from the last, every
-    index array in the narrowest unsigned dtype that holds it.  It raises
-    CapExceeded before it lays out a level that takes its running row count
-    above MAX_SEARCH_STEPS.
+    It raises CapExceeded before it lays out a level that takes its count of
+    rows built, n for level 1 and then each level's exact size, above
+    max_rows.  The plan keeps no norms.  For each length t, words[t - 1]
+    holds the class words as a read-only (count, t) array, and closes[t - 1]
+    the (rows, closing) pair: the level-t rows of those classes, or None on
+    a grown last level, whose rows all are classes, and their closing edges.
+    steps[t - 1] is the (parent, edge) pair that lays out level t + 1: each
+    row's parent in level t and the edge it grows along.  Edges are numbered
+    in np.nonzero order, and every index array is in the narrowest unsigned
+    dtype that holds it.
     """
     mask = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n)
     stride = n + 1
@@ -232,111 +243,78 @@ def _build_plan(length_cap: int, n: int, pattern: bytes) -> _Plan:
     edge_at = np.full(stride * stride, -1)
     edge_at[key] = np.arange(len(key))
 
+    loops = np.flatnonzero(origin == terminus)
+    words = [_frozen(termini[loops].reshape(-1, 1))]
+    closes = [(_frozen(origin[loops].astype(_index_dtype(n))), _frozen(loops.astype(edge_index)))]
+    steps = []
     word = np.zeros((n, _ROW), dtype=letter)
     word[:, 0] = np.arange(1, n + 1)
     period = np.ones(n, dtype=np.uint8)
-    words, closes, steps = [], [], []
     built = n
-    for t in range(1, length_cap + 1):
-        row_index = _index_dtype(len(word))
+    for t in range(1, length_cap):
         row = word[:, t - 1].astype(np.intp) * stride  # the keys of the last letter's edges start here
-        lyndon = np.flatnonzero(period == t)
-        closing = edge_at[row[lyndon] + word[:, 0][lyndon]]
-        closes_here = closing >= 0
-        lyndon, closing = lyndon[closes_here], closing[closes_here]
-        words.append(_frozen(word[lyndon, :t]))
-        closes.append((_frozen(lyndon.astype(row_index)), _frozen(closing.astype(edge_index))))
-        if t == length_cap:
-            break
         floor = word.take(np.arange(len(word)) * _ROW + (t - period))
-        # the last level is read only for its classes: it takes only the
-        # successors above the floor, its Lyndon words, and keeps those that close
-        last_level = t + 1 == length_cap
+        last_level = t + 1 == length_cap  # it takes only the successors above the floor: Lyndon words
         first = first_edge[row + floor + last_level]
         counts = first_edge[row + stride] - first
         built += int(counts.sum())
-        if built > MAX_SEARCH_STEPS:
+        if built > max_rows:
             raise CapExceeded(
-                f"length cap {length_cap} builds at least {built} search rows, above cap {MAX_SEARCH_STEPS}"
+                f"length cap {length_cap} builds at least {built} search rows, above cap {max_rows}"
             )
         parent = np.repeat(np.arange(len(word)), counts)
         edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         grown = termini[edge]
-        if last_level:
-            closes_here = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]] >= 0
-            parent, edge, grown = parent[closes_here], edge[closes_here], grown[closes_here]
-        period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
+        closing = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]]
+        if last_level:  # keeps the rows that close, all of them classes
+            keep = closing >= 0
+            parent, edge, grown, closing, rows = parent[keep], edge[keep], grown[keep], closing[keep], None
+        else:
+            period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
+            rows = np.flatnonzero((period == t + 1) & (closing >= 0))
+            closing = closing[rows]
+        steps.append((_frozen(parent.astype(_index_dtype(len(word)))), _frozen(edge.astype(edge_index))))
         word = word.take(parent, axis=0)
         word[:, t] = grown
-        steps.append((_frozen(parent.astype(row_index)), _frozen(edge.astype(edge_index))))
-    return _Plan(tuple(words), tuple(closes), tuple(steps), built)
+        if rows is None:
+            words.append(_frozen(np.ascontiguousarray(word[:, :t + 1])))
+        else:
+            words.append(_frozen(word[rows, :t + 1]))
+            rows = _frozen(rows.astype(_index_dtype(len(word))))
+        closes.append((rows, _frozen(closing.astype(edge_index))))
+    return _Plan(tuple(words), tuple(closes), tuple(steps))
 
 
-#: Bytes of search plans kept between calls.  A search peaks at about 120 bytes
-#: per row it builds (503 MB for the 4,284,864 rows of --state random --dim 64
-#: --L 4), so one at MAX_SEARCH_STEPS may reach 600 MB, and kept plans may add a
-#: twentieth of that.  A plan takes 4 to 18 bytes per row its search built: the
-#: 12 shapes of the primes benchmark (1.6 MiB in all) fit many times over, and
-#: the 65 MiB plan of --dim 64 --L 4 is returned and not kept.
-_PLAN_CACHE_BYTES = MAX_SEARCH_STEPS * 120 // 20
+#: Bytes of search plans kept between calls.  A search peaks at about 85 bytes
+#: per row it builds (358 MB for the 4,284,864 rows of --state random --dim 64
+#: --L 4), so one at MAX_SEARCH_STEPS may reach 425 MB, and kept plans may add
+#: a fourteenth of that.  A plan takes 8 to 14 bytes per row its search built:
+#: the 12 shapes of the primes benchmark (1.5 MiB in all) fit many times over,
+#: and the 49 MiB plan of --dim 64 --L 4 is returned and not kept.
+_PLAN_CACHE_BYTES = 30_000_000
 
 _plans = ByteBoundedCache(_build_plan, _PLAN_CACHE_BYTES)
 
 
 def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
-    """Enumerate prime classes of closed walks up to the given length.
+    """The prime classes of g of lengths 1 to length_cap, sorted by (nu, word).
 
-    A prime class is a Lyndon word over the vertex alphabet whose consecutive
-    letters, and last and first letters, are joined by edges.  Ruskey's
-    prenecklace scheme builds each word once: a prenecklace of length t with
-    period p grows along an edge to any successor >= its letter t - p, and it
-    is a Lyndon word exactly when p == t.  Cost is exponential in the cap, so
-    the search keeps a running count of the rows it builds, n for level 1 and
-    then each level's exact size, and raises CapExceeded before it lays out a
-    level that takes the count above MAX_SEARCH_STEPS.
-
-    The words, their order and the edges each norm multiplies depend only on
-    which weights are nonzero, so the search runs once per (length_cap,
-    pattern) and its plan is kept in _plans, within _PLAN_CACHE_BYTES; a
-    kept plan that built more rows than MAX_SEARCH_STEPS now allows is
-    searched again, so the search itself refuses it.  The search is breadth first.  Level t holds
-    every prenecklace of length t as the first t letters of a row of a
-    (count, _ROW) word buffer, with its period.  Rows are gathered whole
-    with take, and the letter t - p of every row is read from the flat
-    buffer.  Edges are keyed origin*(n+1) + terminus, in sorted order, which
-    is np.nonzero's order, so the successors of a word are one run of edges;
-    two tables over all (n+1)**2 keys, built once, give the first edge at or
-    above a key and the edge with a key (or -1), so one lookup finds where
-    each run starts and ends and whether a word closes.  np.repeat lays out
-    the next level.  The last level is built from successors above the floor
-    letter only, which are its Lyndon words.  Children follow their parent
-    in ascending terminus order, so each level, and the classes taken from
-    it, are in lexicographic order without a sort.  The plan keeps each
-    length's class words as a read-only (count, t) array, the rows that close
-    with their closing edges, and each level's parent rows and edges.
-
-    The numeric pass runs the same products on every call: from norms of
-    1 + 0j on level 1, a level's norms are its parents' norms times the
-    edges grown along, and its classes' norms those of its closing rows
-    times their closing edges, all with complex_product, so each is the same
-    float as a left-to-right product of Python complex numbers.  Every row
-    held, in a level or among the classes kept, is one the count took in,
-    so memory is bounded by MAX_SEARCH_STEPS rows; a refused search may
-    first build up to that many.
+    Raises ValueError or CapExceeded for a length cap outside
+    1..PRIME_LENGTH_CAP, and CapExceeded when the search would build more
+    than MAX_SEARCH_STEPS rows.  Every row held is one that count took in,
+    so memory is bounded by that many rows.  The plan is kept in _plans,
+    within _PLAN_CACHE_BYTES, by (length_cap, n, pattern, MAX_SEARCH_STEPS).
     """
     check_length_cap(length_cap)
     n = g.n_vertices
     mask = g.weights != 0
-    pattern = np.packbits(mask).tobytes()
-    plan = _plans(length_cap, n, pattern)
-    if plan.built > MAX_SEARCH_STEPS:  # kept under a larger cap: the search refuses it now
-        plan = _build_plan(length_cap, n, pattern)
+    plan = _plans(length_cap, n, np.packbits(mask).tobytes(), MAX_SEARCH_STEPS)
     weights = g.weights[mask]
     norm = np.ones(n, dtype=complex)
     norms = []
-    for t, (lyndon, closing) in enumerate(plan.closes):
+    for t, (rows, closing) in enumerate(plan.closes):
         if t:
             parent, edge = plan.steps[t - 1]
             norm = complex_product(norm.take(parent), weights.take(edge))
-        norms.append(complex_product(norm.take(lyndon), weights.take(closing)))
+        norms.append(complex_product(norm if rows is None else norm.take(rows), weights.take(closing)))
     return PrimeClasses(plan.words, norms)

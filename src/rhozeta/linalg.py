@@ -185,9 +185,12 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 
 
 def _nbytes(value) -> int:
-    """Bytes of the numpy arrays in a value, nested in tuples; anything else counts 0."""
+    """Bytes of the numpy arrays and bytes objects in a value, nested in tuples;
+    anything else counts 0."""
     if isinstance(value, np.ndarray):
         return value.nbytes
+    if isinstance(value, bytes):
+        return len(value)
     return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
 
 
@@ -195,13 +198,19 @@ class ByteBoundedCache:
     """The values of build(*key), each built on the first call for its key and kept
     while the bytes kept fit a budget.
 
-    A value's bytes are those of the numpy arrays it holds, nested in tuples.
-    Once keeping a new value would pass the budget, the least recently used
-    values are dropped first, so many small values never push each other
-    out; a value larger than the whole budget is returned and not kept, and
-    nothing is dropped for it.  hits, misses and nbytes count what the cache
-    did and holds, and nbytes never passes the budget.
+    An entry costs the bytes of the numpy arrays and bytes objects in its key
+    and value, nested in tuples, plus ENTRY_BYTES, so keys that take memory
+    and empty values are bounded too.  Once keeping a new entry would pass
+    the budget, the least recently used are dropped first, so many small
+    values never push each other out; an entry larger than the whole budget
+    is returned and not kept, and nothing is dropped for it.  A build that
+    raises keeps and drops nothing.  hits, misses and nbytes count what the
+    cache did and holds, and nbytes never passes the budget.
     """
+
+    #: What an entry costs beyond those bytes: its dict slot, its tuples and
+    #: its array headers, about 1 KiB for a prime plan with no classes.
+    ENTRY_BYTES = 1024
 
     def __init__(self, build, budget: int):
         self.build = build
@@ -220,7 +229,7 @@ class ByteBoundedCache:
             return entry[0]
         self.misses += 1
         value = self.build(*key)
-        size = _nbytes(value)
+        size = _nbytes((key, value)) + self.ENTRY_BYTES
         if size <= self.budget:
             while self.nbytes + size > self.budget:
                 self.nbytes -= self._entries.pop(next(iter(self._entries)))[1]

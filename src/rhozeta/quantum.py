@@ -39,8 +39,8 @@ MAX_PERMANENT_TABLE = 2**20
 #: Bytes of multiset arrays kept between oracle calls: MAX_COPIES shapes as wide as the
 #: widest a state within linalg.MAX_DIM reaches, (MAX_DIM, 2), whose multisets take 2 x 2
 #: bytes of index, 2 x 4 of row offset and 1 of alpha! each (19.5 MiB in all).  Every shape
-#: the caps admit fits, and a small one takes a few hundred bytes, so it is never dropped
-#: for a count.
+#: the caps admit fits, and a small one takes a few hundred bytes and the cache's
+#: ENTRY_BYTES, so it is never dropped for a count.
 _SHAPE_CACHE_BYTES = MAX_COPIES * comb(MAX_DIM + 1, 2) * 13
 
 #: Table entries per chunk of the oracle: it takes m = _CHUNK_ENTRIES >> k multisets at

@@ -19,7 +19,7 @@ with every state builder replaced by one that raises.
 
 No function here imports rhozeta, so the corpus does not depend on the
 tree under test.  It leaves out the refusal of `primes --dim 8 --L 14`,
-which builds 2.9 million search rows (about 400 MB) before it refuses;
+which builds 2.9 million search rows (about 270 MB) before it refuses;
 test_primes_refuses_dense_search covers it.
 """
 

@@ -441,7 +441,7 @@ def test_primes_refuses_dense_search():
     # the search builds 2,859,128 rows up to length 8, then is refused before
     # laying out length 9, which would take it to 20,219,744; uncapped, its
     # last level alone would hold about 3.1e11 Lyndon words.  Those rows take
-    # about 300 MB, so the search runs in a child process, not in this one
+    # about 270 MB, so the search runs in a child process, not in this one
     proc = subprocess.run(
         [sys.executable, "-m", "rhozeta.cli", "primes", "--state", "random", "--dim", "8", "--L", "14"],
         capture_output=True,

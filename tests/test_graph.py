@@ -455,6 +455,8 @@ def test_prime_plan_is_built_once_per_pattern():
     length_cap = 6
     warm = [enumerate_primes(g, length_cap) for g in weightings]
     assert (plans.misses, plans.hits) == (1, 1)
+    (plan, _), = plans._entries.values()
+    assert plan.closes[-1][0] is None  # the last level's rows are all classes: no row index
     for g, primes in zip(weightings, warm):
         plans.cache_clear()
         want = hex_classes(enumerate_primes_recursive(g, length_cap))

@@ -344,21 +344,46 @@ def test_random_density_dim_cap_refuses_before_drawing():
 # -- ByteBoundedCache ----------------------------------------------------------
 
 def test_byte_bounded_cache_keeps_no_value_above_its_budget():
-    # a value is its arrays' bytes, nested in tuples; a value over the whole
-    # budget is returned, not kept, and drops nothing; otherwise the least
-    # recently used go first, and the bytes kept never pass the budget
-    cache = ByteBoundedCache(lambda size: (np.zeros(size, dtype=np.uint8), (np.zeros(0), size)), 10)
-    calls = [(4, "miss"), (5, "miss"), (11, "miss"), (4, "hit"), (5, "hit"), (11, "miss"),
-             (3, "miss"), (5, "hit"), (4, "miss")]
+    # an entry is its arrays' bytes, nested in tuples, and ENTRY_BYTES; one
+    # over the whole budget is returned, not kept, and drops nothing;
+    # otherwise the least recently used go first, and the bytes kept never
+    # pass the budget; a build that raises keeps and drops nothing
+    entry = ByteBoundedCache.ENTRY_BYTES
+    big = entry + 11
+
+    def build(size):
+        if size < 0:
+            raise ValueError(size)
+        return np.zeros(size, dtype=np.uint8), (np.zeros(0), size)
+
+    cache = ByteBoundedCache(build, 2 * entry + 10)
+    calls = [(4, "miss"), (5, "miss"), (big, "miss"), (-1, "raise"), (4, "hit"), (5, "hit"), (big, "miss"),
+             (3, "miss"), (-2, "raise"), (5, "hit"), (4, "miss"), (-1, "raise")]
     for size, outcome in calls:
-        hits, misses = cache.hits, cache.misses
-        value = cache(size)
-        assert len(value[0]) == size and value[1][1] == size
+        hits, misses, kept = cache.hits, cache.misses, dict(cache._entries)
+        if outcome == "raise":
+            with pytest.raises(ValueError):
+                cache(size)
+            assert cache._entries == kept and list(cache._entries) == list(kept), size
+        else:
+            value = cache(size)
+            assert len(value[0]) == size and value[1][1] == size
         assert (cache.hits - hits, cache.misses - misses) == ((1, 0) if outcome == "hit" else (0, 1)), size
         assert cache.nbytes <= cache.budget, size
-    assert cache.nbytes == 5 + 4 and (cache.hits, cache.misses) == (3, 6)
+    assert cache.nbytes == 5 + 4 + 2 * entry and (cache.hits, cache.misses) == (3, 9)
     cache.cache_clear()
     assert (cache.hits, cache.misses, cache.nbytes) == (0, 0, 0)
+
+
+def test_byte_bounded_cache_counts_its_keys():
+    # empty values under distinct 1,000-byte keys: each entry costs its key
+    # and ENTRY_BYTES, so ten fit and the rest push the oldest out
+    entry = 1_000 + ByteBoundedCache.ENTRY_BYTES
+    cache = ByteBoundedCache(lambda key, n: (), 10 * entry)
+    for i in range(1_000):
+        assert cache(i.to_bytes(1_000, "little"), 0) == ()
+        assert cache.nbytes == min(i + 1, 10) * entry, i
+    assert [int.from_bytes(key, "little") for key, _ in cache._entries] == list(range(990, 1_000))
 
 
 # -- matrix JSON format -------------------------------------------------------

@@ -319,7 +319,8 @@ def test_multiset_table_is_built_once_per_shape():
         for array in (table, offsets, weights):
             with pytest.raises(ValueError):
                 array[0] = 1
-    assert cache.nbytes == sum(array.nbytes for shape in ((4, 3), (5, 3)) for array in cache(*shape))
+    arrays = sum(array.nbytes for shape in ((4, 3), (5, 3)) for array in cache(*shape))
+    assert cache.nbytes == arrays + 2 * cache.ENTRY_BYTES
 
 
 def test_multiset_cache_is_bounded_by_bytes_not_count():
