@@ -31,12 +31,13 @@ those that close, so all its rows are classes.  The search counts the rows
 it builds and refuses, before laying it out, a level that would take that
 count above MAX_SEARCH_STEPS.  Its plan is kept in a byte-bounded cache,
 so another weighting of the same pattern skips it.  The numeric phase
-gathers edge weights along the plan: a level's norms are its parents'
-norms times the edges grown along, and its classes' norms those of their
-rows times their closing edges, from norms of 1 + 0j on level 1.  Every
-product is complex_product, which rounds as Python's complex multiply
-does, bit for bit, so the norms are the same floats as a loop over Python
-numbers.  The result is PrimeClasses: per-length arrays of words and edge
+takes each level's norms, from 1 + 0j on level 1, and edge weights along
+the plan and multiplies them once: its classes' norms are their rows'
+norms times their closing edges, and the next level's norms are the
+parents' norms times the edges grown along.  Norms are two float planes,
+real and imaginary, and each part is formed as Python's complex multiply
+forms it, so the norms are the same floats as a loop over Python numbers.
+The result is PrimeClasses: per-length arrays of words and edge
 norms, iterated as PrimeClass items.
 """
 
@@ -146,21 +147,21 @@ def density_from_weighted_graph(g: LaplacianWeights) -> DensityMatrix:
     return validate_density(laplacian / lap_trace)
 
 
-def complex_product(a, b) -> np.ndarray:
-    """Elementwise a * b of complex arrays, rounded as CPython rounds complex * complex.
+def _product(a, b):
+    """Multiply a by b in place and return a, each a pair of real and imaginary float planes.
 
-    It is the one product the prime search uses.  numpy's SIMD complex
-    multiply may fuse a multiply and an add, which rounds once where CPython
-    rounds twice, and so differs from it in the last bit of many products.
-    Each part is formed here from real products and one sum,
-    re = ar*br - ai*bi and im = ar*bi + ai*br, as CPython forms it, so every
-    element equals the Python product bit for bit.
+    Each part is formed as CPython forms complex * complex, re = ar*br - ai*bi
+    and im = ar*bi + ai*br, every product and sum rounded once, so each element
+    equals the Python product bit for bit; numpy's complex multiply may fuse a
+    multiply and an add, and differ in the last bit.  a's planes share no memory with b.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    (ar, ai), (br, bi) = a, b
+    im = ar * bi
+    ar *= br
+    ar -= ai * bi
+    ai *= br
+    ai += im
+    return a
 
 
 class PrimeClasses:
@@ -212,8 +213,7 @@ class _Plan(NamedTuple):
     """What a prime search finds from its edge pattern alone; _build_plan says what it holds."""
 
     words: tuple
-    closes: tuple
-    steps: tuple
+    gathers: tuple
 
 
 def _build_plan(length_cap: int, n: int, pattern: bytes, max_rows: int) -> _Plan:
@@ -222,13 +222,13 @@ def _build_plan(length_cap: int, n: int, pattern: bytes, max_rows: int) -> _Plan
     It raises CapExceeded before it lays out a level that takes its count of
     rows built, n for level 1 and then each level's exact size, above
     max_rows.  The plan keeps no norms.  For each length t, words[t - 1]
-    holds the class words as a read-only (count, t) array, and closes[t - 1]
-    the (rows, closing) pair: the level-t rows of those classes, or None on
-    a grown last level, whose rows all are classes, and their closing edges.
-    steps[t - 1] is the (parent, edge) pair that lays out level t + 1: each
-    row's parent in level t and the edge it grows along.  Edges are numbered
-    in np.nonzero order, and every index array is in the narrowest unsigned
-    dtype that holds it.
+    holds the class words as a read-only (count, t) array, and gathers[t - 1]
+    a (rows, edges) pair of level-t rows and the edges each is multiplied by:
+    first the rows of those classes with their closing edges, then each
+    row of level t + 1 as its parent with the edge it grows along.  On a
+    grown last level, whose rows all are classes, rows is None.  Edges are
+    numbered in np.nonzero order, and every index array is in the narrowest
+    unsigned dtype that holds it.
     """
     mask = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n)
     stride = n + 1
@@ -245,8 +245,8 @@ def _build_plan(length_cap: int, n: int, pattern: bytes, max_rows: int) -> _Plan
 
     loops = np.flatnonzero(origin == terminus)
     words = [_frozen(termini[loops].reshape(-1, 1))]
-    closes = [(_frozen(origin[loops].astype(_index_dtype(n))), _frozen(loops.astype(edge_index)))]
-    steps = []
+    rows, closing = origin[loops].astype(_index_dtype(n)), loops.astype(edge_index)
+    gathers = []
     word = np.zeros((n, _ROW), dtype=letter)
     word[:, 0] = np.arange(1, n + 1)
     period = np.ones(n, dtype=np.uint8)
@@ -265,29 +265,29 @@ def _build_plan(length_cap: int, n: int, pattern: bytes, max_rows: int) -> _Plan
         parent = np.repeat(np.arange(len(word)), counts)
         edge = np.arange(len(parent)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         grown = termini[edge]
-        closing = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]]
+        shut = edge_at[grown.astype(np.intp) * stride + word[:, 0][parent]]  # each row's closing edge, or -1
         if last_level:  # keeps the rows that close, all of them classes
-            keep = closing >= 0
-            parent, edge, grown, closing, rows = parent[keep], edge[keep], grown[keep], closing[keep], None
+            keep = shut >= 0
+            parent, edge, grown, lyndon = parent[keep], edge[keep], grown[keep], None
+            shut = shut[keep].astype(edge_index)
         else:
             period = np.where(grown == floor[parent], period[parent], np.uint8(t + 1))
-            rows = np.flatnonzero((period == t + 1) & (closing >= 0))
-            closing = closing[rows]
-        steps.append((_frozen(parent.astype(_index_dtype(len(word)))), _frozen(edge.astype(edge_index))))
+            lyndon = np.flatnonzero((period == t + 1) & (shut >= 0)).astype(_index_dtype(len(parent)))
+            shut = shut[lyndon].astype(edge_index)
+        # level t's gather: its classes' rows and closing edges, then level t + 1's parents and edges
+        gathers.append((_frozen(np.concatenate((rows, parent), dtype=_index_dtype(len(word)), casting="unsafe")),
+                        _frozen(np.concatenate((closing, edge), dtype=edge_index, casting="unsafe"))))
+        rows, closing = lyndon, shut
         word = word.take(parent, axis=0)
         word[:, t] = grown
-        if rows is None:
-            words.append(_frozen(np.ascontiguousarray(word[:, :t + 1])))
-        else:
-            words.append(_frozen(word[rows, :t + 1]))
-            rows = _frozen(rows.astype(_index_dtype(len(word))))
-        closes.append((rows, _frozen(closing.astype(edge_index))))
-    return _Plan(tuple(words), tuple(closes), tuple(steps))
+        words.append(_frozen(np.ascontiguousarray(word[:, :t + 1]) if rows is None else word[rows, :t + 1]))
+    gathers.append((rows if rows is None else _frozen(rows), _frozen(closing)))
+    return _Plan(tuple(words), tuple(gathers))
 
 
-#: Bytes of search plans kept between calls.  A search peaks at about 85 bytes
-#: per row it builds (358 MB for the 4,284,864 rows of --state random --dim 64
-#: --L 4), so one at MAX_SEARCH_STEPS may reach 425 MB, and kept plans may add
+#: Bytes of search plans kept between calls.  A search peaks at about 70 bytes
+#: per row it builds (298 MB for the 4,284,864 rows of --state random --dim 64
+#: --L 4), so one at MAX_SEARCH_STEPS may reach 350 MB, and kept plans may add
 #: a fourteenth of that.  A plan takes 8 to 14 bytes per row its search built:
 #: the 12 shapes of the primes benchmark (1.5 MiB in all) fit many times over,
 #: and the 49 MiB plan of --dim 64 --L 4 is returned and not kept.
@@ -309,12 +309,13 @@ def enumerate_primes(g: WeightedDigraph, length_cap: int) -> PrimeClasses:
     n = g.n_vertices
     mask = g.weights != 0
     plan = _plans(length_cap, n, np.packbits(mask).tobytes(), MAX_SEARCH_STEPS)
-    weights = g.weights[mask]
-    norm = np.ones(n, dtype=complex)
+    planes = np.array((g.weights.real[mask], g.weights.imag[mask]))
+    norm = np.ones(n), np.zeros(n)
     norms = []
-    for t, (rows, closing) in enumerate(plan.closes):
-        if t:
-            parent, edge = plan.steps[t - 1]
-            norm = complex_product(norm.take(parent), weights.take(edge))
-        norms.append(complex_product(norm if rows is None else norm.take(rows), weights.take(closing)))
+    for words, (rows, edges) in zip(plan.words, plan.gathers):
+        re, im = _product(norm if rows is None else [part.take(rows) for part in norm], planes.take(edges, axis=1))
+        out = np.empty(len(words), dtype=complex)
+        out.real, out.imag = re[:len(out)], im[:len(out)]
+        norm = re[len(out):], im[len(out):]
+        norms.append(out)
     return PrimeClasses(plan.words, norms)

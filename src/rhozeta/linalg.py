@@ -16,6 +16,7 @@ partial_trace(np.kron(rho_a, rho_b), (da, db), keep="B") == rho_b.
 import json
 import os
 import stat
+import sys
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 
@@ -185,31 +186,32 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
 
 
 def _nbytes(value) -> int:
-    """Bytes of the numpy arrays and bytes objects in a value, nested in tuples;
-    anything else counts 0."""
+    """Bytes of the numpy arrays, bytes objects and tuples in a value, nested in
+    tuples: each one's sys.getsizeof, headers included, and an array's base,
+    which a view keeps alive; anything else counts 0."""
     if isinstance(value, np.ndarray):
-        return value.nbytes
+        return sys.getsizeof(value) + _nbytes(value.base)
     if isinstance(value, bytes):
-        return len(value)
-    return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
+        return sys.getsizeof(value)
+    return sys.getsizeof(value) + sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
 
 
 class ByteBoundedCache:
     """The values of build(*key), each built on the first call for its key and kept
     while the bytes kept fit a budget.
 
-    An entry costs the bytes of the numpy arrays and bytes objects in its key
-    and value, nested in tuples, plus ENTRY_BYTES, so keys that take memory
-    and empty values are bounded too.  Once keeping a new entry would pass
-    the budget, the least recently used are dropped first, so many small
-    values never push each other out; an entry larger than the whole budget
-    is returned and not kept, and nothing is dropped for it.  A build that
-    raises keeps and drops nothing.  hits, misses and nbytes count what the
+    An entry costs the sizes of the arrays, bytes and tuples in its key and
+    value, headers included, plus ENTRY_BYTES, so memory-taking keys, empty
+    values and many small arrays are bounded too.  Once keeping a new entry
+    would pass the budget, the least recently used are dropped first, so many
+    small values never push each other out; an entry larger than the whole
+    budget is returned and not kept, and nothing is dropped for it.  A build
+    that raises keeps and drops nothing.  hits, misses and nbytes count what the
     cache did and holds, and nbytes never passes the budget.
     """
 
-    #: What an entry costs beyond those bytes: its dict slot, its tuples and
-    #: its array headers, about 1 KiB for a prime plan with no classes.
+    #: What an entry costs beyond those bytes: its dict slot and the pair of
+    #: value and cost kept in it, with room to spare.
     ENTRY_BYTES = 1024
 
     def __init__(self, build, budget: int):

@@ -120,10 +120,12 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     complete homogeneous sum of degree j.  Over the prefixes n_1..n_i,
     h_j = h_j(n_1..n_{i-1}) + n_i h_{j-1}(n_1..n_i), so the prefix sums of
     the norms times the prefix h_{j-1} give the prefix h_j, and the last is
-    h_j.  The route shares no code with series_coeffs.  The classes must be
-    complete up to the order, so it may not exceed the length they were
-    enumerated to.  Coefficients must come out real (imaginary residue
-    below 1e-9), and the imaginary parts are dropped after the check.
+    h_j (for the top degree, one sum).  The factor multiplies the series in
+    Python complex numbers, highest coefficient first.  The route shares no
+    code with series_coeffs.  The classes must be complete up to the order,
+    so it may not exceed the length they were enumerated to.  Coefficients
+    must come out real (imaginary residue below 1e-9), and the imaginary
+    parts are dropped after the check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -131,20 +133,22 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
         raise IncompletePrimes(
             f"order {order} exceeds the length {len(primes.norms)} the primes were enumerated to"
         )
-    coeffs = np.zeros(order + 1, dtype=complex)
-    coeffs[0] = 1
+    coeffs = [1 + 0j] + [0j] * order
     for nu, norms in enumerate(primes.norms[:order], start=1):
         if not len(norms):
             continue
-        before = coeffs.copy()
-        h = np.ones(len(norms))
-        for j in range(1, order // nu + 1):
-            h = np.add.accumulate(norms * h)
-            coeffs[j * nu:] += h[-1] * before[:order + 1 - j * nu]
-    worst = np.abs(coeffs.imag).max()
+        factor, terms = [], norms
+        for _ in range(order // nu - 1):
+            h = np.add.accumulate(terms)
+            factor.append(h.item(-1))
+            terms = norms * h
+        factor.append(terms.sum().item())
+        for k in range(order, nu - 1, -1):
+            coeffs[k] = sum(map(mul, factor, coeffs[k - nu::-nu]), coeffs[k])
+    worst = max(abs(c.imag) for c in coeffs)
     if worst > _IMAG_TOL:
         raise NonRealCoefficient(f"imaginary residue {worst:.3e} exceeds {_IMAG_TOL:.1e}")
-    return ZetaSeries(tuple(coeffs.real.tolist()))
+    return ZetaSeries(tuple(c.real for c in coeffs))
 
 
 @lru_cache(maxsize=1)

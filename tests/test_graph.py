@@ -18,7 +18,6 @@ from rhozeta.graph import (
     LaplacianWeights,
     PrimeClasses,
     WeightedDigraph,
-    complex_product,
     density_from_weighted_graph,
     enumerate_primes,
     graph_from_density,
@@ -456,7 +455,7 @@ def test_prime_plan_is_built_once_per_pattern():
     warm = [enumerate_primes(g, length_cap) for g in weightings]
     assert (plans.misses, plans.hits) == (1, 1)
     (plan, _), = plans._entries.values()
-    assert plan.closes[-1][0] is None  # the last level's rows are all classes: no row index
+    assert plan.gathers[-1][0] is None  # the last level's rows are all classes: no row index
     for g, primes in zip(weightings, warm):
         plans.cache_clear()
         want = hex_classes(enumerate_primes_recursive(g, length_cap))
@@ -488,9 +487,10 @@ def test_words_are_count_by_length_arrays_of_the_smallest_letter_dtype():
     assert [253, 254, 255, 256] in primes.words[3].tolist()
 
 
-def test_complex_product_matches_python_bit_for_bit():
+def test_plane_product_matches_python_bit_for_bit():
     """10^5 pairs mixing wide exponents, signed zeros, real-only and
-    subnormal parts against CPython's complex multiply."""
+    subnormal parts against CPython's complex multiply, each operand held as
+    its real and imaginary planes and the product formed in the first's."""
     rng = np.random.default_rng(2024)
     size = 100_000
     parts = rng.standard_normal((4, size)) * 10.0 ** rng.integers(-150, 150, (4, size))
@@ -499,22 +499,39 @@ def test_complex_product_matches_python_bit_for_bit():
     parts[pick] = rng.choice(special, pick.sum())
     parts[1, rng.random(size) < 0.1] = 0.0  # real-only a
     parts[3, rng.random(size) < 0.1] = 0.0  # real-only b
+    # negative real weights with +0.0 or -0.0 imaginary parts: the sign of a
+    # zero part reaches the primes CSV
+    signed = rng.random(size) < 0.1
+    parts[0, signed] = -rng.random(signed.sum())
+    parts[1, signed] = rng.choice([0.0, -0.0], signed.sum())
+    parts[2, signed] = -rng.random(signed.sum())
+    parts[3, signed] = rng.choice([0.0, -0.0], signed.sum())
     a, b = np.empty((2, size), dtype=complex)
     a.real, a.imag, b.real, b.imag = parts
 
     def hexes(values):
         return [(z.real.hex(), z.imag.hex()) for z in values]
 
+    def packed(re, im):
+        return [complex(r, i) for r, i in zip(re.ravel().tolist(), im.ravel().tolist())]
+
+    def planes(z):
+        return np.array((z.real, z.imag))
+
     want = [x * y for x, y in zip(a.tolist(), b.tolist())]
-    assert hexes(complex_product(a, b).tolist()) == hexes(want)
-    # gathered complex arrays, as enumerate_primes passes norm[parent] and weights[edge]
+    product = planes(a)
+    assert graph._product(product, planes(b)) is product  # formed in a's planes
+    assert hexes(packed(*product)) == hexes(want)
+    # gathered planes, as enumerate_primes gathers a level's norms and edge weights
     i, j = rng.integers(0, size, (2, size))
     want = [x * y for x, y in zip(a[i].tolist(), b[j].tolist())]
-    assert hexes(complex_product(a[i], b[j]).tolist()) == hexes(want)
-    # a column times a list of Python complex numbers, broadcast to a table
-    column, row = a[:300], b[:400].tolist()
-    want = [x * y for x in column.tolist() for y in row]
-    assert hexes(complex_product(column[:, None], row).ravel().tolist()) == hexes(want)
+    gathered = graph._product([part.take(i) for part in (a.real, a.imag)], planes(b).take(j, axis=1))
+    assert hexes(packed(*gathered)) == hexes(want)
+    # a column times a row, broadcast to a table
+    column, row = a[:300], b[:400]
+    want = [x * y for x in column.tolist() for y in row.tolist()]
+    table = np.repeat(planes(column)[:, :, None], len(row), axis=2)
+    assert hexes(packed(*graph._product(table, planes(row)))) == hexes(want)
 
 
 def test_prime_classes_sequence_access():

@@ -1,9 +1,12 @@
 """Tests for the dense linear algebra layer."""
 
+import gc
 import math
 import os
 import re
+import sys
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from refimpl import (
     save_matrix,
     trace_powers_sequential,
 )
-from rhozeta import linalg
+from rhozeta import graph, linalg
 from rhozeta.errors import (
     CapExceeded,
     DimensionMismatch,
@@ -73,6 +76,25 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_negative_eigenvalue():
     with pytest.raises(NotPSD):
         validate_density(np.diag([1.5, -0.5]), 1e-9)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_validate_bounds_sit_at_tol(tol):
+    # a Hermiticity defect or an eigenvalue below zero of half the tolerance
+    # passes, and one of twice the tolerance is refused: a bound ten times
+    # looser or tighter fails one of the pairs
+    for scale in (0.5, 2.0):
+        defect = scale * tol
+        skewed = np.array([[0.5, 0.0], [defect, 0.5]])
+        indefinite = np.diag([1.0 + defect, -defect])
+        if scale < 1:
+            assert validate_density(skewed, tol).dim == validate_density(indefinite, tol).dim == 2
+            assert validate_density(indefinite, tol).eigenvalues[0] == -defect
+        else:
+            with pytest.raises(NotHermitian, match=f"defect {defect:.3e} exceeds tol {tol:.1e}"):
+                validate_density(skewed, tol)
+            with pytest.raises(NotPSD, match=f"minimum eigenvalue {-defect:.3e} below -{tol:.1e}"):
+                validate_density(indefinite, tol)
 
 
 def test_validate_rejects_indefinite_matrix_near_float_max():
@@ -344,11 +366,14 @@ def test_random_density_dim_cap_refuses_before_drawing():
 # -- ByteBoundedCache ----------------------------------------------------------
 
 def test_byte_bounded_cache_keeps_no_value_above_its_budget():
-    # an entry is its arrays' bytes, nested in tuples, and ENTRY_BYTES; one
-    # over the whole budget is returned, not kept, and drops nothing;
-    # otherwise the least recently used go first, and the bytes kept never
-    # pass the budget; a build that raises keeps and drops nothing
-    entry = ByteBoundedCache.ENTRY_BYTES
+    # an entry is the sizes of its arrays and tuples, headers included, and
+    # ENTRY_BYTES: here (key, value) = ((size,), (array, (array, size))), so
+    # entry + size; one over the whole budget is returned, not kept, and
+    # drops nothing; otherwise the least recently used go first, and the
+    # bytes kept never pass the budget; a build that raises keeps and drops
+    # nothing
+    header = sys.getsizeof(np.zeros(0))  # a one-dimensional array beyond its data
+    entry = ByteBoundedCache.ENTRY_BYTES + 3 * sys.getsizeof((0, 0)) + sys.getsizeof((0,)) + 2 * header
     big = entry + 11
 
     def build(size):
@@ -376,14 +401,43 @@ def test_byte_bounded_cache_keeps_no_value_above_its_budget():
 
 
 def test_byte_bounded_cache_counts_its_keys():
-    # empty values under distinct 1,000-byte keys: each entry costs its key
-    # and ENTRY_BYTES, so ten fit and the rest push the oldest out
-    entry = 1_000 + ByteBoundedCache.ENTRY_BYTES
+    # empty values under distinct 1,000-byte keys: each entry costs its key,
+    # the tuples of (key, value) and ENTRY_BYTES, so ten fit and the rest push
+    # the oldest out
+    entry = sys.getsizeof(bytes(1_000)) + 2 * sys.getsizeof((0, 0)) + sys.getsizeof(()) + ByteBoundedCache.ENTRY_BYTES
     cache = ByteBoundedCache(lambda key, n: (), 10 * entry)
     for i in range(1_000):
         assert cache(i.to_bytes(1_000, "little"), 0) == ()
         assert cache.nbytes == min(i + 1, 10) * entry, i
     assert [int.from_bytes(key, "little") for key, _ in cache._entries] == list(range(990, 1_000))
+
+
+def test_byte_bounded_cache_holds_deep_plans_within_its_budget():
+    # a prime plan of a two-edge 8-vertex pattern at the length cap holds a
+    # few bytes of data in some forty arrays, each with its header; distinct
+    # plans past the budget push the oldest out, and the memory the cache
+    # holds, traced, stays within its budget and a slack of 64 KiB for the
+    # caches and free lists of numpy and the interpreter, which do not grow
+    # with the entries (it held about 6 times the budget while an entry was
+    # charged only its arrays' data and ENTRY_BYTES); one plan built first
+    # keeps the search's one-time allocations out of the reading
+    budget = 200_000
+    patterns = [np.packbits(np.isin(np.arange(64), pair)).tobytes() for pair in combinations(range(64), 2)][:151]
+    graph._build_plan(graph.PRIME_LENGTH_CAP, 8, patterns.pop(), graph.MAX_SEARCH_STEPS)
+    tracemalloc.start()
+    try:
+        cache = ByteBoundedCache(graph._build_plan, budget)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for pattern in patterns:
+            cache(graph.PRIME_LENGTH_CAP, 8, pattern, graph.MAX_SEARCH_STEPS)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.misses == len(patterns) and len(cache._entries) < len(patterns)
+    assert cache.nbytes <= budget
+    assert held <= budget + 64 * 1024
 
 
 # -- matrix JSON format -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for reference states, permutation operators, and the symmetry test."""
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
@@ -319,8 +320,11 @@ def test_multiset_table_is_built_once_per_shape():
         for array in (table, offsets, weights):
             with pytest.raises(ValueError):
                 array[0] = 1
-    arrays = sum(array.nbytes for shape in ((4, 3), (5, 3)) for array in cache(*shape))
-    assert cache.nbytes == arrays + 2 * cache.ENTRY_BYTES
+    # each entry: its three arrays, headers included, the tuples of
+    # ((d, k), value) and ENTRY_BYTES
+    arrays = sum(sys.getsizeof(array) for shape in ((4, 3), (5, 3)) for array in cache(*shape))
+    tuples = 2 * sys.getsizeof((0, 0)) + sys.getsizeof((0, 0, 0))
+    assert cache.nbytes == arrays + 2 * (tuples + cache.ENTRY_BYTES)
 
 
 def test_multiset_cache_is_bounded_by_bytes_not_count():

@@ -17,6 +17,7 @@ from rhozeta.errors import (
     AtSingularity,
     IncompletePrimes,
     InsufficientPowerSums,
+    NonRealCoefficient,
 )
 from rhozeta.graph import PRIME_LENGTH_CAP, PrimeClasses, enumerate_primes, graph_from_density
 from rhozeta.linalg import (
@@ -29,6 +30,7 @@ from rhozeta.linalg import (
 )
 from rhozeta.quantum import BUILTIN_STATES, builtin_state
 from rhozeta.zeta import (
+    _IMAG_TOL,
     MULTIPLICITY_RTOL,
     _newton_coeffs,
     euler_product_coeffs,
@@ -221,12 +223,22 @@ def test_euler_rejects_order_beyond_enumerated_length():
 
 
 def test_euler_rejects_imaginary_residue():
-    from rhozeta.errors import NonRealCoefficient
-
     lone = classes_of_length(1, [[1]], [1j], 2)
     assert list(lone)[0].word == (1,)
     with pytest.raises(NonRealCoefficient):
         euler_product_coeffs(lone, 2)
+
+
+def test_euler_imaginary_residue_bound_sits_at_its_tolerance():
+    # one loop class of norm 0.5 + e*1j gives c_n = norm^n, whose largest
+    # imaginary part is e (at n = 1 and 2): half the tolerance passes and
+    # twice it is refused, so a bound ten times looser or tighter fails one
+    residue = _IMAG_TOL
+    inside = classes_of_length(1, [[1]], [0.5 + 0.5j * residue], 4)
+    assert euler_product_coeffs(inside, 4).coeffs == (1.0, 0.5, 0.25, 0.125, 0.0625)
+    outside = classes_of_length(1, [[1]], [0.5 + 2j * residue], 4)
+    with pytest.raises(NonRealCoefficient, match=f"imaginary residue {2 * residue:.3e} exceeds"):
+        euler_product_coeffs(outside, 4)
 
 
 # -- zeta_eval ----------------------------------------------------------------------
