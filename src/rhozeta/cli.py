@@ -13,6 +13,10 @@ validation errors.  A reader that closes stdout or stderr early is not
 an error and never changes the code (as `rhozeta ... | head` expects):
 the writes to that stream go nowhere.  All output files are
 byte-deterministic given the same invocation and seed.
+run, the entry of the console script and of python -m rhozeta.cli, calls
+main, flushes stdout and stderr, and calls os._exit with main's code, so
+the command skips interpreter teardown and runs no atexit handler;
+main(argv) returns the code to in-process callers.
 """
 
 import argparse
@@ -284,5 +288,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry: main, both standard streams flushed, then os._exit
+    with main's code.  argparse's SystemExit and uncaught errors leave the
+    normal way."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None where the fd was closed at start
+        with _standard_stream(stream):
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -803,3 +804,37 @@ def test_closed_pipe_does_not_change_the_exit_code(argv, code, merged):
         assert proc.wait(timeout=60) == code
         if not merged:
             assert proc.stderr.read().startswith("verdict: entangled by coefficients: n=2")
+
+
+@pytest.mark.parametrize("argv,to_file,code", [
+    # 254,394 bytes, well past stdout's buffer, to stdout and to a file
+    (["primes", "--state", "random", "--dim", "3", "--L", "9"], False, 0),
+    (["primes", "--state", "random", "--dim", "3", "--L", "9"], True, 0),
+    (["coeffs", "--state", "bell-reduced"], False, 1),
+    (["coeffs", "--state", "nosuch"], False, 2),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+def test_the_process_writes_what_main_writes(tmp_path, capsys, argv, to_file, code):
+    # the process ends in os._exit, which drops what a stream still buffers:
+    # with its streams buffered, as in a pipe, its output and code must be
+    # those of main in process
+    def out(name):
+        return ["--out", str(tmp_path / name)] if to_file else []
+
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-m", "rhozeta.cli", *argv, *out("process.csv")],
+                          capture_output=True, env=env)
+    expected, stdout, stderr = run_cli([*argv, *out("main.csv")], capsys)
+    assert expected == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (expected, stdout.encode(), stderr.encode())
+    if to_file:
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+
+def test_a_closed_stdout_fd_leaves_the_code_of_a_file_command(tmp_path):
+    # fd 1 closed at start makes sys.stdout None, which the flush before
+    # os._exit must skip: the command still exits 0 with its file written
+    out = tmp_path / "table.csv"
+    proc = subprocess.run([sys.executable, "-m", "rhozeta.cli", "coeffs", "--state", "plus", "--out", str(out)],
+                          stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0 and proc.stderr.startswith(b"verdict: separable by coefficients")
+    assert out.read_text().startswith("n,c_n\n1,")

@@ -80,19 +80,22 @@ def test_validate_rejects_negative_eigenvalue():
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_validate_bounds_sit_at_tol(tol):
-    # a Hermiticity defect or an eigenvalue below zero of half the tolerance
-    # passes, and one of twice the tolerance is refused: a bound ten times
-    # looser or tighter fails one of the pairs
+    # a Hermiticity defect, a trace defect or an eigenvalue below zero of
+    # half the tolerance passes, and one of twice the tolerance is refused:
+    # a bound ten times looser or tighter fails one of the pairs
     for scale in (0.5, 2.0):
         defect = scale * tol
         skewed = np.array([[0.5, 0.0], [defect, 0.5]])
+        heavy = np.diag([0.5 + defect, 0.5])
         indefinite = np.diag([1.0 + defect, -defect])
         if scale < 1:
-            assert validate_density(skewed, tol).dim == validate_density(indefinite, tol).dim == 2
+            assert validate_density(skewed, tol).dim == validate_density(heavy, tol).dim == 2
             assert validate_density(indefinite, tol).eigenvalues[0] == -defect
         else:
             with pytest.raises(NotHermitian, match=f"defect {defect:.3e} exceeds tol {tol:.1e}"):
                 validate_density(skewed, tol)
+            with pytest.raises(NotUnitTrace, match=re.escape(f"|tr - 1| = {defect:.3e} exceeds tol {tol:.1e}")):
+                validate_density(heavy, tol)
             with pytest.raises(NotPSD, match=f"minimum eigenvalue {-defect:.3e} below -{tol:.1e}"):
                 validate_density(indefinite, tol)
 

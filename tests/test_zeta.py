@@ -528,6 +528,44 @@ def test_zeta_values_where_the_float_product_leaves_its_range_matches_closed_for
     assert normal > 100
 
 
+# -- thresholds: an input at half and one at twice each ----------------------------------
+# the inputs are literals, so a bound ten times looser or tighter, or its
+# constant changed, fails one of each pair
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_zero_tol_sits_at_its_threshold(scale):
+    # an off-diagonal entry of half ZERO_TOL (1e-12) makes no edge, and an
+    # eigenvalue of half it no pole; at twice it, each does
+    x = scale * 1e-12
+    g = graph_from_density(validate_density(np.array([[0.5, x], [x, 0.5]])))
+    assert g.n_edges == (2 if scale < 1 else 4)
+    rational = singularities(validate_density(np.diag([1 - x, x])))
+    assert len(rational.singularities) == (1 if scale < 1 else 2)
+
+
+def test_singularity_tol_sits_at_its_threshold():
+    # half SINGULARITY_TOL (1e-6) from the pole at 2 is the pole, to
+    # zeta_eval and zeta_values alike; twice it from the pole, both give the value
+    rational = singularities(validate_density(np.diag([0.5, 0.499, 0.001])))
+    near = 2 + 0.5e-6
+    with pytest.raises(AtSingularity, match="of the pole at 2.0$"):
+        zeta_eval(rational, near)
+    assert math.isnan(zeta_values(rational, [near])[0])
+    off = 2 + 2e-6
+    value = zeta_eval(rational, off)
+    assert value.real == pytest.approx(-5.0125e8, rel=1e-4)
+    assert zeta_values(rational, [off])[0] == value.real
+
+
+@pytest.mark.parametrize("scale, mults", [(0.5, [2, 1]), (2.0, [1, 1, 1])])
+def test_multiplicity_rtol_sits_at_its_threshold(scale, mults):
+    # poles at 2.5 and at scale * MULTIPLICITY_RTOL (1e-8) * 2.5 past it, and one near 5
+    near = 0.4 / (1 + scale * 1e-8)
+    rational = singularities(validate_density(np.diag([0.4, near, 0.6 - near])))
+    assert rational.singularities[0][0] == 2.5
+    assert [mult for _, mult in rational.singularities] == mults
+
+
 # -- separability verdicts --------------------------------------------------------------
 
 def test_bell_reduction_entangled_by_coeffs():
