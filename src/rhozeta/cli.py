@@ -3,23 +3,26 @@
 Every text format the command prints lives here (graph and zeta return
 data only).  Each cmd_* is a computation: it checks its arguments, raises
 every error and computes every value, its verdict included, and returns
-(lines, note, code) without writing anything.  main alone writes, through
-_write: the lines to stdout or --out, then the note, if any, as one
-stderr line, so a command that exits 2 leaves stdout empty and creates
-no file.
+(lines, note, code) without writing anything.  main alone writes: the
+lines to stdout or --out through _write, then the note or the error line,
+if any, as one stderr line, so a command that exits 2 leaves stdout empty
+and creates no file.
 Exit codes: 0 on success, 1 when a separability verdict comes out
 entangled (so shell pipelines can branch on it), 2 on input or
-validation errors.  A reader that closes stdout or stderr early is not
-an error and never changes the code (as `rhozeta ... | head` expects):
-the writes to that stream go nowhere.  All output files are
+validation errors.  _standard_stream guards both standard streams.  A
+reader that closes stdout early (as `rhozeta ... | head` expects), a
+closed fd, and any failure on stderr are not errors and never change the
+code: the writes to that stream go nowhere.  Any other failure on stdout,
+such as a full device, exits 2 with its error line.  All output files are
 byte-deterministic given the same invocation and seed.
-run, the entry of the console script and of python -m rhozeta.cli, calls
-main, flushes stdout and stderr, and calls os._exit with main's code, so
-the command skips interpreter teardown and runs no atexit handler;
-main(argv) returns the code to in-process callers.
+run, the entry of the console script and of python -m rhozeta.cli, is
+os._exit(main()): main flushes all it writes, and the command skips
+interpreter teardown and runs no atexit handler; main(argv) returns the
+code to in-process callers.
 """
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -83,29 +86,33 @@ def _load_state(args) -> DensityMatrix:
 
 
 @contextmanager
-def _standard_stream(stream):
-    """Yield stdout or stderr and flush it on leaving.  If its reader has
-    closed it, the write stops and the stream's fd is pointed at devnull,
-    so no later write or flush, the one at exit included, can raise."""
+def _standard_stream(name: str):
+    """Yield sys.stdout or sys.stderr, by name, and flush it on leaving; a
+    stream whose fd was closed at start (None) is devnull.  An OSError on
+    either stream stops the write and points the fd at devnull, so nothing
+    left in its buffer can fail again.  It is raised again only on stdout,
+    and only when stdout is neither a reader that has gone (EPIPE) nor a
+    closed fd (EBADF): a full device exits 2, and nothing on stderr
+    changes the code."""
+    stream = getattr(sys, name) or open(os.devnull, "w")
     try:
         yield stream
         stream.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        if name == "stdout" and exc.errno not in (errno.EPIPE, errno.EBADF):
+            raise
 
 
-def _write(path: str, lines, note) -> None:
+def _write(path: str, lines) -> None:
     """Write the lines, each ending in a newline, to path ('-' for stdout),
-    _SLICE lines at a time, then the note, if not None, to stderr."""
+    _SLICE lines at a time."""
     lines = iter(lines)
-    with _standard_stream(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _standard_stream("stdout") if path == "-" else open(path, "w", encoding="utf-8", newline="\n") as fh:
         while block := list(islice(lines, _SLICE)):
             fh.write("\n".join(block) + "\n")
-    if note is not None:
-        with _standard_stream(sys.stderr) as fh:
-            print(note, file=fh)
 
 
 def dot_lines(g: WeightedDigraph):
@@ -281,22 +288,20 @@ def main(argv=None) -> int:
     try:
         check_tol(args.validation_tol)
         lines, note, code = args.run(args)
-        _write(args.out, lines, note)
-        return code
+        _write(args.out, lines)
     except (RhoZetaError, ValueError, OSError) as exc:
-        _write("-", (), f"error: {type(exc).__name__}: {exc}")
-        return 2
+        note, code = f"error: {type(exc).__name__}: {exc}", 2
+    if note is not None:
+        with _standard_stream("stderr") as fh:
+            print(note, file=fh)
+    return code
 
 
 def run():
-    """The process entry: main, both standard streams flushed, then os._exit
-    with main's code.  argparse's SystemExit and uncaught errors leave the
-    normal way."""
-    code = main()
-    for stream in filter(None, (sys.stdout, sys.stderr)):  # None where the fd was closed at start
-        with _standard_stream(stream):
-            pass
-    os._exit(code)
+    """The process entry: os._exit(main()).  main flushes all it writes, and
+    os._exit skips interpreter teardown and every atexit handler.
+    argparse's SystemExit and uncaught errors leave the normal way."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

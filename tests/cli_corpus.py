@@ -5,13 +5,14 @@ invocations(directory) lists the argv of every invocation, reading those
 inputs and writing any --out file in the same directory.  The corpus
 covers all five subcommands on every built-in state and on random states
 of several dims, matrix files, --out, the largest inputs each cap
-accepts, and every refusal the CLI can print: each malformed, invalid,
+accepts, the two validation defects on each side of the default
+tolerance, and every refusal the CLI can print: each malformed, invalid,
 oversized or missing matrix file, each argument out of range, each cap,
 an unknown state and a missing output directory.  refusals(directory)
 is the table of refusals: each entry carries the error type it must
 name, a piece of the message it must print, and whether it must be
-refused before any state is built.  The corpus holds 191 invocations,
-59 of them refusals, 27 of those state-free.  tests/compare_trees.py
+refused before any state is built.  The corpus holds 195 invocations,
+61 of them refusals, 27 of those state-free.  tests/compare_trees.py
 runs the corpus; test_cli.py's test_every_corpus_refusal_names_its_error
 checks each refusal against its entry, and
 test_refusals_come_before_any_state_is_built runs each state-free one
@@ -62,6 +63,10 @@ def write_inputs(directory) -> None:
     # far from a state: unit trace only to within 1e200
     _write_matrix(directory / "far.json", np.diag([1e200, -1e200]))
     _write_matrix(directory / "near.json", np.diag([0.5 + 1e-6, 0.5]))  # unit trace only to within 1e-6
+    # each defect at a quarter and at twice the default --validation-tol of 1e-9
+    for side, d in (("in", 5e-10), ("out", 2e-9)):
+        _write_matrix(directory / f"negative-{side}.json", np.diag([1 + d, -d]))  # minimum eigenvalue -d
+        _write_matrix(directory / f"trace-{side}.json", np.diag([0.5 + d, 0.5]))  # |tr - 1| = d
     _write_matrix(directory / "nonhermitian.json", [[0.5, 0.1], [0, 0.5]])
     _write_matrix(directory / "nilpotent.json", [[0, 1], [0, 0]])
     _write_matrix(directory / "indefinite.json", np.diag([1.5, -0.5]))
@@ -116,6 +121,9 @@ def refusals(directory) -> list:
         ("NotHermitian", "Hermiticity defect 1.000e-01", ["coeffs", *file("nonhermitian")]),
         ("NotHermitian", "Hermiticity defect 1.000e+00", ["graph", *file("nilpotent")]),
         ("NotPSD", "minimum eigenvalue -5.000e-01", ["primes", *file("indefinite")]),
+        # just past the default --validation-tol; the "-in" files just within it are accepted
+        ("NotPSD", "minimum eigenvalue -2.000e-09", ["coeffs", *file("negative-out")]),
+        ("NotUnitTrace", "|tr - 1| = 2.000e-09", ["coeffs", *file("trace-out")]),
         # the Hermitian part of a file with entries near the float maximum
         ("NotPSD", "minimum eigenvalue -1.000e+308", ["curve", *file("huge"), "--u-max", "0.5", "--steps", "3"]),
         ("NotPSD", "minimum eigenvalue -1.000e+308", ["coeffs", *file("huge"), "--N", "4"]),
@@ -203,6 +211,9 @@ def invocations(directory) -> list:
          "--u-min", "0", "--u-max", "4.5", "--steps", "10", *out],
         ["primes", "--state", "ghz-reduced", "--L", "6", *out],
         ["bose", "--state", "random", "--dim", "3", "--K", "4", *out],
+        # just within the default --validation-tol: a negative eigenvalue and a trace defect
+        ["coeffs", "--file", str(directory / "negative-in.json")],
+        ["coeffs", "--file", str(directory / "trace-in.json")],
         # the largest inputs each cap accepts
         ["primes", "--state", "random", "--dim", "512", "--L", "2"],
         ["coeffs", "--state", "random", "--dim", "512", "--N", "64"],

@@ -831,10 +831,42 @@ def test_the_process_writes_what_main_writes(tmp_path, capsys, argv, to_file, co
 
 
 def test_a_closed_stdout_fd_leaves_the_code_of_a_file_command(tmp_path):
-    # fd 1 closed at start makes sys.stdout None, which the flush before
-    # os._exit must skip: the command still exits 0 with its file written
+    # fd 1 closed at start makes sys.stdout None, which a command that
+    # writes to --out never touches: it still exits 0 with its file written
     out = tmp_path / "table.csv"
     proc = subprocess.run([sys.executable, "-m", "rhozeta.cli", "coeffs", "--state", "plus", "--out", str(out)],
                           stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0 and proc.stderr.startswith(b"verdict: separable by coefficients")
     assert out.read_text().startswith("n,c_n\n1,")
+
+
+@pytest.mark.parametrize("argv,fd,sink,code,first", [
+    # stdout on a full device fails the table: one error line, exit 2
+    (["coeffs", "--state", "plus"], 1, "full", 2, "error: OSError: [Errno 28]"),
+    # stderr closed at start, open only for reading (EBADF on write) or on a
+    # full device loses the note and keeps the code
+    (["coeffs", "--state", "plus", "--N", "3"], 2, "closed", 0, None),
+    (["coeffs", "--state", "bell-reduced"], 2, "closed", 1, None),
+    (["coeffs", "--state", "bell-reduced"], 2, "read-only", 1, None),
+    (["graph", "--state", "plus"], 2, "full", 0, None),
+    # stdout closed at start or open only for reading loses the table alone
+    (["coeffs", "--state", "nosuch"], 1, "closed", 2, "error: InvalidParameter: unknown state 'nosuch'"),
+    (["coeffs", "--state", "plus"], 1, "closed", 0, "verdict: separable by coefficients"),
+    (["coeffs", "--state", "plus"], 1, "read-only", 0, "verdict: separable by coefficients"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else repr(v))
+def test_a_standard_stream_that_cannot_be_written(capsys, argv, fd, sink, code, first):
+    # with stdout buffered, as in a pipe: no traceback, stderr where open
+    # holds the one line `first`, and stdout where open what main writes
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    streams = {1: subprocess.PIPE, 2: subprocess.PIPE}
+    with open(os.devnull if sink == "read-only" else "/dev/full", "r" if sink == "read-only" else "w") as sink_file:
+        streams[fd] = subprocess.DEVNULL if sink == "closed" else sink_file
+        proc = subprocess.run([sys.executable, "-m", "rhozeta.cli", *argv], stdout=streams[1], stderr=streams[2],
+                              env=env, preexec_fn=(lambda: os.close(fd)) if sink == "closed" else None)
+    assert proc.returncode == code
+    assert b"Traceback" not in (proc.stdout or b"") + (proc.stderr or b"")
+    if fd == 1:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(first.encode())
+    else:
+        expected, stdout, _ = run_cli(argv, capsys)
+        assert (expected, proc.stdout) == (code, stdout.encode())
