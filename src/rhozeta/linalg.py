@@ -27,8 +27,10 @@ from .errors import CapExceeded, DimensionMismatch, NotHermitian, NotPSD, NotUni
 #: Default absolute tolerance for density-matrix validation.
 DEFAULT_TOL = 1e-9
 
-#: A magnitude at or below this counts as zero: such an entry makes no graph
-#: edge, and such an eigenvalue makes no pole of the zeta function.
+#: A matrix entry of magnitude at or below this makes no graph edge, and an
+#: eigenvalue at or below it, sign included, makes no pole of the zeta
+#: function: a negative eigenvalue that validation admits makes no pole,
+#: though the power sums keep it (ROADMAP item 8).
 ZERO_TOL = 1e-12
 
 #: Block size of trace_powers: it forms rho^1..rho^POWER_BLOCK, then steps
@@ -129,10 +131,10 @@ def trace_powers(rho: DensityMatrix, m_max: int) -> tuple:
     The stack holds min(b, m_max) powers and a giant step gives all b of its
     traces; each p_m is a trace of the same product chain, so it depends on
     m alone, not on m_max.  The result is memoized on (rho, m_max), one
-    entry deep, as singularities is on rho (the memo keeps that state alive
-    until the next call with another key), so a verdict after a table on
-    the same state and order is a lookup.  The eigenvalues are never read,
-    so this route stays independent of the rational one.
+    entry deep (the memo keeps that state alive until the next call with
+    another key), so a verdict after a table on the same state and order is
+    a lookup.  The eigenvalues are never read, so this route stays
+    independent of the rational one.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")

@@ -7,6 +7,12 @@ a rational function whose poles sit at reciprocals of the nonzero
 eigenvalues, and an Euler product over the prime classes of the weighted
 graph of rho.  The three routes cross-check each other; agreement is the
 core correctness property of the package.
+
+The rational form is a plain function of the validated spectrum.  The
+coefficient route keeps two one-entry memos, _newton_coeffs here and
+linalg.trace_powers, so a coefficient verdict that follows the table on
+the same state is a lookup; ROADMAP item 21 removes them once the verdicts
+take the values their routes computed.
 """
 
 from dataclasses import dataclass
@@ -51,13 +57,13 @@ class ZetaSeries:
 class ZetaRational:
     """Rational form 1/det(I - u*rho) = 1/prod(1 - u*lam) over the eigenvalues.
 
-    u is real.  eigenvalues holds those above the zero threshold, ascending;
+    u is real.  eigenvalues holds those above the zero threshold, descending;
     singularities is an ascending list of (location, multiplicity) pairs, a
     group being its first pole plus every pole within MULTIPLICITY_RTOL of it.
     """
 
     eigenvalues: tuple
-    singularities: tuple = ()
+    singularities: tuple
 
 
 @dataclass(frozen=True)
@@ -85,10 +91,9 @@ def _newton_coeffs(p: tuple) -> tuple:
     c_0 = 1 and c_n = (1/n) * sum_{m=1..n} p_m c_{n-m}.  The sum pairs p
     with the coefficients so far in reverse and adds the products in order
     of m with the builtin sum, so each c_n is the same float whatever the
-    length of p.  The result is memoized on p, one entry deep, so
-    is_separable_by_coeffs after series_coeffs on the same power sums is a
-    lookup.  Equal tuples give equal coefficients: the builtin sum starts
-    from the integer 0, so the sign of a zero in p never reaches a c_n.
+    length of p.  The result is memoized on p, one entry deep.  Equal
+    tuples give equal coefficients: the builtin sum starts from the integer
+    0, so the sign of a zero in p never reaches a c_n.
     """
     c = [1.0]
     for n in range(1, len(p) + 1):
@@ -103,7 +108,7 @@ def series_coeffs(power_sums, order: int) -> ZetaSeries:
     expansion of exp(sum_m p_m u^m / m) and, term for term, the cycle
     index of the symmetric group at x_m = p_m.  The recurrence is the one
     in _newton_coeffs, memoized there on power_sums[:order] as a tuple of
-    floats, one entry deep; is_separable_by_coeffs reads the same memo.
+    floats; is_separable_by_coeffs reads the same memo.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -151,26 +156,22 @@ def euler_product_coeffs(primes: PrimeClasses, order: int) -> ZetaSeries:
     return ZetaSeries(tuple(c.real for c in coeffs))
 
 
-@lru_cache(maxsize=1)
 def singularities(rho: DensityMatrix) -> ZetaRational:
     """Rational form of the zeta function with its singularity list.
 
-    Keeps the validated eigenvalues above the zero threshold, ascending as
-    eigvalsh gives them; the singularities are their reciprocals, taken in
-    reverse so they ascend (division is monotone).  A group is its first
+    Keeps the validated eigenvalues above the zero threshold, descending
+    (eigvalsh gives them ascending); the singularities are their
+    reciprocals, which ascend (division is monotone).  A group is its first
     pole, its location, plus every pole within MULTIPLICITY_RTOL of it.
-    The result is memoized on the state object, one entry deep (the memo
-    keeps that state alive until the next call with another), so a call
-    after is_separable_by_singularity on the same state is a lookup.
     """
-    eigenvalues = rho.eigenvalues[rho.eigenvalues > ZERO_TOL].tolist()
+    lam = rho.eigenvalues[rho.eigenvalues > ZERO_TOL][::-1]
     groups = []
-    for u in [1.0 / lam for lam in reversed(eigenvalues)]:
+    for u in (1.0 / lam).tolist():
         if groups and u - groups[-1][0] <= MULTIPLICITY_RTOL * groups[-1][0]:
             groups[-1] = (groups[-1][0], groups[-1][1] + 1)
         else:
             groups.append((u, 1))
-    return ZetaRational(eigenvalues=tuple(eigenvalues), singularities=tuple(groups))
+    return ZetaRational(eigenvalues=tuple(lam.tolist()), singularities=tuple(groups))
 
 
 def zeta_values(rational: ZetaRational, grid) -> np.ndarray:
@@ -186,7 +187,7 @@ def zeta_values(rational: ZetaRational, grid) -> np.ndarray:
     m = np.ones_like(x)
     exponent = np.full(x.shape, len(rational.eigenvalues))
     with np.errstate(all="ignore"):
-        for lam in reversed(rational.eigenvalues):
+        for lam in rational.eigenvalues:
             h = 0.5 - (0.5 * x) * lam
             h[np.abs(h) <= (0.5 * SINGULARITY_TOL) * lam] = np.nan
             m, e = np.frexp(m * h)
@@ -212,7 +213,7 @@ def zeta_eval(rational: ZetaRational, u) -> complex:
     if not isfinite(x):
         raise ValueError(f"u={x} is not finite")
     z = 1.0
-    for lam in reversed(rational.eigenvalues):
+    for lam in rational.eigenvalues:
         factor = 1 - x * lam
         if abs(factor) <= SINGULARITY_TOL * lam:
             raise AtSingularity(f"u={x} lies within {SINGULARITY_TOL:.0e} of the pole at {1 / lam!r}")
@@ -235,7 +236,7 @@ def is_separable_by_coeffs(
 
     Checks n = 1..order and reports the first coefficient away from one.
     The coefficients come from _newton_coeffs on trace_powers(rho_b,
-    order), so after series_coeffs on those power sums they are a lookup.
+    order), through the memos the module docstring describes.
     n = 2 alone is decisive in exact arithmetic (it measures purity),
     larger orders serve as diagnostics.  rho_b must be the reduced state
     of a pure bipartite state for the verdict to mean separability; pass
@@ -263,8 +264,7 @@ def is_separable_by_singularity(
 ) -> SeparabilityVerdict:
     """Singularity criterion: separable iff the only pole is u = 1, simple."""
     check_tol(tol)
-    rational = singularities(rho_b)
-    sing = rational.singularities
+    sing = singularities(rho_b).singularities
     if len(sing) == 1 and sing[0][1] == 1 and abs(sing[0][0] - 1.0) <= tol:
         return SeparabilityVerdict(separable=True, method="singularity", caveat=not pure_bipartite)
     offending = next(

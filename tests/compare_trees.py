@@ -4,16 +4,19 @@
 
 OLD and NEW are checkouts of the repository (each with a src/rhozeta
 package); `python tests/compare_trees.py . .` checks that the output does
-not depend on the hash seed or the BLAS thread count.  Each tree runs the
-whole corpus of tests/cli_corpus.py in one child process, with
+not depend on the hash seed.  Each tree runs the whole corpus of
+tests/cli_corpus.py in one child process, with
 PYTHONPATH=TREE/src and its own PYTHONHASHSEED and OPENBLAS_NUM_THREADS
 (OLD at one thread, NEW at two), calling rhozeta.cli.main in process.
 Above dim 256, LAPACK's eigensolver gives other bits under other thread
 counts, and the default count is the host's core count, so two children
 that shared one count could not see output that differs between hosts.
-The CLI pins one thread, so a tree from before that pin still matches a
-pinned one when it runs at one thread, as OLD does.  Both
-children read the same input files and write the same --out paths.  For
+The CLI pins one thread before numpy loads, and each child imports
+rhozeta.cli first, so in a tree with that pin NEW's count never reaches
+OpenBLAS: thread independence rests on the pin, not on this run.  A tree
+from before the pin still matches a pinned one when it runs at one
+thread, as OLD does.  Both children read the same input files and write
+the same --out paths.  For
 each invocation the exit code and the bytes of stdout, stderr and the
 --out file (or its absence) are compared.  Every argv that differs is
 printed, and the exit status is 1 on any difference, 2 when a tree
